@@ -3,7 +3,7 @@
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: install test lint-ir crosscheck advise-report transform-report fuzz-smoke fuzz-report bench bench-interp sweep-smoke sweep-fault-smoke parexec-smoke parexec-fault-smoke figures examples clean
+.PHONY: install test lint-ir crosscheck advise-report transform-report fuzz-smoke fuzz-report bench bench-interp sweep-smoke sweep-fault-smoke figures examples clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -55,16 +55,6 @@ sweep-smoke:
 
 sweep-fault-smoke:
 	python tools/sweep_fault_smoke.py
-
-# Parallel-tier soundness gate: every eembc program re-run on the worker
-# pool at 1 and 2 workers must serialize a byte-identical profile.
-parexec-smoke:
-	python -m repro parexec --suite --suite-name eembc --workers 1,2
-
-# Kill a pool worker mid-DOALL-chunk (must retry) and mid-TLS-chunk with
-# retries disabled (must abort cleanly and recompute serially).
-parexec-fault-smoke:
-	python tools/parexec_fault_smoke.py
 
 figures:
 	python examples/full_paper_run.py

@@ -60,8 +60,8 @@ _CRASH_LOOP_LIMIT = 3
 _BACKOFF_BASE_S = 0.25
 _BACKOFF_CAP_S = 5.0
 
-# FAULT_SENTINEL_ENV is re-exported from runtime.faults (the sweep engine
-# and the parallel execution tier share one fault-injection mechanism).
+# FAULT_SENTINEL_ENV is re-exported from runtime.faults for the fault
+# tests and tools/sweep_fault_smoke.py.
 
 NON_NUMERIC_SUITES = ("specint2000", "specint2006")
 NUMERIC_SUITES = ("eembc", "specfp2000", "specfp2006")
@@ -380,17 +380,6 @@ class SuiteRunner:
         }
 
 
-def _maybe_inject_fault():
-    """Kill this worker when the fault-injection smoke hook is armed.
-
-    ``always`` kills every task (quarantine path); a path kills exactly one
-    task fleet-wide — the sentinel file is created with ``O_EXCL`` so
-    concurrent workers race for a single SIGKILL (retry path). Shared with
-    the parallel execution tier via :mod:`repro.runtime.faults`.
-    """
-    maybe_inject_fault(FAULT_SENTINEL_ENV)
-
-
 def _sweep_worker(full_name, config_names, fuel, cache_root):
     """Process-pool task: one benchmark, every configuration.
 
@@ -400,7 +389,9 @@ def _sweep_worker(full_name, config_names, fuel, cache_root):
     parent all converge on one profiling run per benchmark. Returns
     ``(full_name, results, meta)`` where ``meta`` feeds the run telemetry.
     """
-    _maybe_inject_fault()
+    # Smoke-test hook: ``always`` kills every task (quarantine path), a
+    # sentinel path kills exactly one task fleet-wide (retry path).
+    maybe_inject_fault()
     start = time.perf_counter()
     program = find_program(full_name)
     store = ProfileStore(cache_root) if cache_root is not None else None

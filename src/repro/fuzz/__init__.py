@@ -11,7 +11,7 @@ ones and checks the pipeline's core invariants on each:
   biased toward the constructs the analyses care about (affine and
   non-affine subscripts, reductions, loop-carried dependences at known
   distances, calls with memory effects, nested and multi-latch loops).
-* :mod:`.harness` — the differential oracle: closure/jit/vec/par
+* :mod:`.harness` — the differential oracle: closure/jit/vec
   profiles byte-identical, observable behaviour identical with
   transforms on vs. off, every STATIC_DOALL verdict dynamically conflict-free, and
   verifier-clean IR after every pass stage.

@@ -79,15 +79,11 @@ def backend_from_env():
     unless ``REPRO_NO_VEC`` is truthy (scalar ``jit``) or ``REPRO_NO_JIT``
     is truthy (``closure``); ``1``/``true``/``yes`` are truthy,
     ``0``/``false``/empty are not — same boolean-env contract as
-    ``REPRO_NO_PROFILE_CACHE``. ``REPRO_PAR`` opts into the parallel
-    execution tier (``par``), but the kill switches still win: the
-    parallel tier builds on the vector tier."""
+    ``REPRO_NO_PROFILE_CACHE``."""
     if _truthy_env("REPRO_NO_JIT"):
         return "closure"
     if _truthy_env("REPRO_NO_VEC"):
         return "jit"
-    if _truthy_env("REPRO_PAR"):
-        return "par"
     return "vec"
 
 
@@ -393,49 +389,27 @@ class Interpreter:
         runtime: optional Loopapalooza runtime receiving the events.
         instrumentation: optional ``{function_name: FunctionInstrumentation}``.
         fuel: dynamic IR instruction budget (guards runaway programs).
-        backend: ``"par"`` (parallel execution tier: vector JIT plus
-            worker-pool DOALL/TLS sections), ``"vec"`` (vector-enabled
-            template JIT, the default), ``"jit"`` (scalar template JIT),
-            ``"closure"`` (PR 1 closure interpreter), or ``None`` to
-            follow the ``REPRO_PAR`` / ``REPRO_NO_VEC`` / ``REPRO_NO_JIT``
-            environment contract.
-        par_workers: worker count for the ``par`` backend (default:
-            ``REPRO_PAR_WORKERS`` or the host core count).
+        backend: ``"vec"`` (vector-enabled template JIT, the default),
+            ``"jit"`` (scalar template JIT), ``"closure"`` (PR 1 closure
+            interpreter), or ``None`` to follow the ``REPRO_NO_VEC`` /
+            ``REPRO_NO_JIT`` environment contract.
     """
 
     def __init__(self, module, runtime=None, instrumentation=None,
-                 fuel=200_000_000, backend=None, par_workers=None):
+                 fuel=200_000_000, backend=None):
         if backend is None:
             backend = backend_from_env()
-        if backend not in ("par", "vec", "jit", "closure"):
+        if backend not in ("vec", "jit", "closure"):
             raise InterpError(
                 f"unknown interpreter backend {backend!r} "
-                "(choose 'par', 'vec', 'jit' or 'closure')"
+                "(choose 'vec', 'jit' or 'closure')"
             )
         self.module = module
         self.runtime = runtime
         self.instrumentation = instrumentation or {}
         self.fuel = fuel
         self.backend = backend
-        # The parallel tier needs typed (NumPy-lane) slot memory so worker
-        # processes can view it through shared memory; REPRO_TYPED_MEMORY
-        # forces the typed layout under any backend (property tests,
-        # memory-semantics audits). Everyone else keeps the list space.
-        self.par = None
-        if backend == "par":
-            from .memory import TypedAddressSpace
-            from .parexec import ParExecutor, default_workers
-
-            workers = par_workers if par_workers is not None \
-                else default_workers()
-            self.space = TypedAddressSpace(shared=workers > 1)
-            self.par = ParExecutor(self, workers)
-        elif _truthy_env("REPRO_TYPED_MEMORY"):
-            from .memory import TypedAddressSpace
-
-            self.space = TypedAddressSpace()
-        else:
-            self.space = AddressSpace()
+        self.space = AddressSpace()
         self.cost = 0
         self.output = []
         self.prng_state = 0x853C49E6748FEA9B
@@ -449,10 +423,6 @@ class Interpreter:
         # scalar path for that invocation).
         self.vec_runs = {}
         self.vec_bailouts = {}
-        # Parallel-tier observability: loop_id -> committed pool runs of
-        # DOALL sections / committed TLS speculations.
-        self.par_runs = {}
-        self.par_tls_runs = {}
         self._call_depth = 0
         # Per-block batch of (is_write, address, ts) memory events, flushed
         # to the runtime after each call-free block's ops (see _call).
@@ -1046,8 +1016,7 @@ class Interpreter:
         try:
             entry = jit_entry(
                 function, plan, jit_variant_for(plan, self.runtime),
-                vectorize=(self.backend in ("vec", "par")),
-                parallel=(self.backend == "par"),
+                vectorize=(self.backend == "vec"),
             )
         except CodegenUnsupported:
             self._jit_failed.add(name)
@@ -1157,11 +1126,10 @@ def _alloc_zero_is_float(type_):
 
 
 def run_module(module, function_name="main", args=(), runtime=None,
-               instrumentation=None, fuel=200_000_000, backend=None,
-               par_workers=None):
+               instrumentation=None, fuel=200_000_000, backend=None):
     """Convenience: build an interpreter, run, and return
     ``(result, interpreter)``."""
     interpreter = Interpreter(module, runtime, instrumentation, fuel,
-                              backend=backend, par_workers=par_workers)
+                              backend=backend)
     result = interpreter.run(function_name, args)
     return result, interpreter

@@ -13,22 +13,13 @@ loop-carried dependency of that loop.
 
 from __future__ import annotations
 
-import weakref
 from bisect import bisect_right
 
 from ..errors import TrapError
 
-TAG_INT = 0
-TAG_FLOAT = 1
-
-_INT64_MIN = -(1 << 63)
-_INT64_MAX = (1 << 63) - 1
-
 
 class AddressSpace:
     """Slot memory with allocation provenance tracking."""
-
-    typed = False
 
     def __init__(self):
         self.slots = []
@@ -95,299 +86,3 @@ class AddressSpace:
         if index < 0:
             return None
         return self._alloc_marks[index]
-
-
-class TypedAddressSpace:
-    """Slot memory over typed NumPy lanes (int64 / float64 / tag byte).
-
-    Drop-in replacement for :class:`AddressSpace` with identical observable
-    semantics, including the stack-reuse quirk: ``allocate`` zeroes only the
-    slots beyond the historical high-water mark when growing; slots reused
-    below it are zeroed only via the ``needed <= 0`` path.
-
-    With ``shared=True`` the three lanes live inside one
-    ``multiprocessing.shared_memory`` segment so worker processes can attach
-    read-only views. Growth reallocates a fresh segment (capacity doubles)
-    and bumps ``generation`` so workers know to re-attach.
-    """
-
-    typed = True
-
-    INITIAL_CAPACITY = 1 << 12
-
-    def __init__(self, shared=False, capacity=None):
-        import numpy as np
-
-        self._np = np
-        self.shared = bool(shared)
-        self.generation = 0
-        self._shm = None
-        self._finalizer = None
-        self._length = 0  # mirrors len(slots) of the list-backed store
-        self.global_limit = 0
-        self._alloc_starts = []
-        self._alloc_marks = []
-        self._stack_pointer = 0
-        self._allocate_backing(int(capacity or self.INITIAL_CAPACITY))
-
-    # -- backing storage ---------------------------------------------------------
-
-    def _allocate_backing(self, capacity):
-        np = self._np
-        if self.shared:
-            from multiprocessing import shared_memory
-
-            tag_pad = (capacity + 7) & ~7
-            nbytes = tag_pad + 16 * capacity
-            shm = shared_memory.SharedMemory(create=True, size=nbytes)
-            tag = np.frombuffer(shm.buf, dtype=np.uint8, count=capacity, offset=0)
-            ival = np.frombuffer(shm.buf, dtype=np.int64, count=capacity, offset=tag_pad)
-            fval = np.frombuffer(
-                shm.buf, dtype=np.float64, count=capacity, offset=tag_pad + 8 * capacity
-            )
-            tag[:] = TAG_INT
-            ival[:] = 0
-            fval[:] = 0.0
-            self._shm = shm
-            # The finalizer owns the lane views too: they must be dropped
-            # before the mmap can close (else "exported pointers exist").
-            self._views = [tag, ival, fval]
-            self._finalizer = weakref.finalize(
-                self, _release_segment, shm, self._views
-            )
-        else:
-            tag = np.zeros(capacity, dtype=np.uint8)
-            ival = np.zeros(capacity, dtype=np.int64)
-            fval = np.zeros(capacity, dtype=np.float64)
-        self._capacity = capacity
-        self._tag = tag
-        self._ival = ival
-        self._fval = fval
-
-    def _ensure(self, needed):
-        if needed <= self._capacity:
-            return
-        capacity = self._capacity
-        while capacity < needed:
-            capacity *= 2
-        old_tag, old_ival, old_fval = self._tag, self._ival, self._fval
-        old_shm, old_fin = self._shm, self._finalizer
-        old_views = getattr(self, "_views", None)
-        length = self._length
-        self._allocate_backing(capacity)
-        self._tag[:length] = old_tag[:length]
-        self._ival[:length] = old_ival[:length]
-        self._fval[:length] = old_fval[:length]
-        if old_shm is not None:
-            del old_tag, old_ival, old_fval  # drop views before unmapping
-            if old_fin is not None:
-                old_fin.detach()
-            _release_segment(old_shm, old_views)
-            self.generation += 1
-
-    def __del__(self):
-        # Deterministic ordering: drop the lane views while the object is
-        # still intact, THEN close the segment — weakref.finalize alone
-        # cannot order view teardown before SharedMemory.__del__.
-        try:
-            if not self.shared or self._shm is None:
-                return
-            if self.generation is None:
-                self.detach()  # non-owning worker-side view
-            else:
-                self.close()
-        except Exception:
-            pass
-
-    def close(self):
-        """Release the shared segment (no-op for process-private storage)."""
-        if self._shm is not None:
-            self._tag = self._ival = self._fval = None
-            if self._finalizer is not None:
-                self._finalizer.detach()
-                self._finalizer = None
-            _release_segment(self._shm, getattr(self, "_views", None))
-            self._shm = None
-
-    def export_handle(self):
-        """(segment name, capacity, generation) for worker attachment."""
-        if self._shm is None:
-            raise RuntimeError("export_handle requires shared=True")
-        return (self._shm.name, self._capacity, self.generation)
-
-    @classmethod
-    def attach(cls, name, capacity, stack_pointer, global_limit, untrack=True):
-        """Attach a worker-side view of a shared segment.
-
-        The returned space supports loads/gathers and bounds checks but not
-        allocation; chunk kernels never allocate. The caller owns closing it.
-
-        ``untrack`` drops the attach-time resource-tracker registration
-        (CPython < 3.13 registers on *attach* too, and a worker's private
-        tracker would unlink the parent's segment at worker exit). Pass
-        ``False`` for fork-context workers: they share the parent's tracker
-        process, and unregistering there would erase the parent's own
-        registration.
-        """
-        import numpy as np
-        from multiprocessing import shared_memory
-
-        shm = shared_memory.SharedMemory(name=name, create=False)
-        if untrack:  # the parent owns the segment; must not unlink it here
-            try:
-                from multiprocessing import resource_tracker
-
-                resource_tracker.unregister(shm._name, "shared_memory")
-            except Exception:
-                pass
-        space = cls.__new__(cls)
-        space._np = np
-        space.shared = True
-        space.generation = None
-        space._shm = shm
-        space._finalizer = None
-        tag_pad = (capacity + 7) & ~7
-        space._capacity = capacity
-        space._tag = np.frombuffer(shm.buf, dtype=np.uint8, count=capacity, offset=0)
-        space._ival = np.frombuffer(shm.buf, dtype=np.int64, count=capacity, offset=tag_pad)
-        space._fval = np.frombuffer(
-            shm.buf, dtype=np.float64, count=capacity, offset=tag_pad + 8 * capacity
-        )
-        space._length = stack_pointer
-        space.global_limit = global_limit
-        space._alloc_starts = []
-        space._alloc_marks = []
-        space._stack_pointer = stack_pointer
-        space._views = [space._tag, space._ival, space._fval]
-        space._finalizer = weakref.finalize(
-            space, _close_view, shm, space._views
-        )
-        return space
-
-    def detach(self):
-        """Close a worker-side view without unlinking the segment."""
-        self._tag = self._ival = self._fval = None
-        if self._finalizer is not None:
-            self._finalizer.detach()
-            self._finalizer = None
-        if self._shm is not None:
-            _close_view(self._shm, getattr(self, "_views", None))
-            self._shm = None
-
-    # -- initialization ----------------------------------------------------------
-
-    def add_global(self, variable):
-        base = self._length
-        values = variable.flat_initializer()
-        self._ensure(base + len(values))
-        for offset, value in enumerate(values):
-            self._write(base + offset, value)
-        self._length = base + len(values)
-        self.global_limit = self._length
-        self._stack_pointer = self._length
-        return base
-
-    # -- stack -------------------------------------------------------------------
-
-    def frame_base(self):
-        return self._stack_pointer
-
-    def allocate(self, size, zero_value, marks):
-        base = self._stack_pointer
-        self._stack_pointer = base + size
-        needed = self._stack_pointer - self._length
-        if needed > 0:
-            self._ensure(self._stack_pointer)
-            self._fill(self._length, self._stack_pointer, zero_value)
-            self._length = self._stack_pointer
-        else:
-            self._fill(base, base + size, zero_value)
-        self._alloc_starts.append(base)
-        self._alloc_marks.append(marks)
-        return base
-
-    def release_to(self, base):
-        self._stack_pointer = base
-        index = bisect_right(self._alloc_starts, base - 1)
-        del self._alloc_starts[index:]
-        del self._alloc_marks[index:]
-
-    # -- access ------------------------------------------------------------------
-
-    def _write(self, address, value):
-        if isinstance(value, float):
-            self._tag[address] = TAG_FLOAT
-            self._fval[address] = value
-        else:
-            value = int(value)
-            if value < _INT64_MIN or value > _INT64_MAX:
-                raise TrapError(f"integer slot value out of int64 range: {value}")
-            self._tag[address] = TAG_INT
-            self._ival[address] = value
-
-    def _fill(self, start, stop, zero_value):
-        if isinstance(zero_value, float):
-            self._tag[start:stop] = TAG_FLOAT
-            self._fval[start:stop] = zero_value
-        else:
-            self._tag[start:stop] = TAG_INT
-            self._ival[start:stop] = zero_value
-
-    def load(self, address):
-        if address < 0 or address >= self._stack_pointer:
-            raise TrapError(f"load from invalid address {address}")
-        if self._tag[address] == TAG_FLOAT:
-            return float(self._fval[address])
-        return int(self._ival[address])
-
-    def store(self, address, value):
-        if address < 0 or address >= self._stack_pointer:
-            raise TrapError(f"store to invalid address {address}")
-        self._write(address, value)
-
-    def marks_for(self, address):
-        if address < self.global_limit:
-            return None
-        index = bisect_right(self._alloc_starts, address) - 1
-        if index < 0:
-            return None
-        return self._alloc_marks[index]
-
-
-def _close_segment(shm):
-    """Close ``shm``, tolerating still-live lane views: if the space sat in
-    a reference cycle its ``__del__`` never ran, and only the finalizer
-    fires — with the lane arrays still reachable the mmap cannot close, so
-    disarm ``SharedMemory.__del__`` instead and let refcounting reclaim the
-    mapping (the segment itself is already unlinked by then)."""
-    try:
-        shm.close()
-    except BufferError:
-        shm._buf = None
-        shm._mmap = None
-    except Exception:
-        pass
-
-
-def _close_view(shm, views=None):
-    """Close a non-owning attachment (never unlinks the segment)."""
-    if views is not None:
-        views.clear()
-    _close_segment(shm)
-
-
-def _release_segment(shm, views=None):
-    if views is not None:
-        views.clear()  # drop lane arrays so the mmap has no exported pointers
-    _close_segment(shm)
-    try:
-        shm.unlink()
-    except Exception:
-        pass
-
-
-def make_space(typed=False, shared=False):
-    """Construct the slot store: list-backed by default, typed on request."""
-    if typed or shared:
-        return TypedAddressSpace(shared=shared)
-    return AddressSpace()

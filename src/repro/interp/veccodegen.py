@@ -304,15 +304,6 @@ _vpre = _vaddr
 
 def _vconvi(space, base, n):
     """Convert ``n`` contiguous integer slots starting at ``base``."""
-    if space.typed:
-        if space._tag[base:base + n].any():
-            raise _VBail  # a float-tagged slot in the range
-        arr = space._ival[base:base + n]
-        if ((arr >= 2147483648) | (arr < -2147483648)).any():
-            raise _VBail
-        # Copy: gathers must capture the pre-kernel image; a view would
-        # alias later scatters into the same lane.
-        return arr.copy()
     values = space.slots[base:base + n]
     if set(map(type, values)) != {int}:
         raise _VBail
@@ -330,10 +321,6 @@ def _vconvi(space, base, n):
 
 def _vconvf(space, base, n):
     """Convert ``n`` contiguous float slots starting at ``base``."""
-    if space.typed:
-        if (space._tag[base:base + n] != 1).any():  # TAG_FLOAT
-            raise _VBail
-        return space._fval[base:base + n].copy()
     values = space.slots[base:base + n]
     # set(map(type, ...)) runs the whole scan in C; asarray alone cannot
     # stand in for it because a mixed int/float slice converts silently.
@@ -415,13 +402,6 @@ def _vgathi(space, ptrs, stride, n, cache=None):
     stop = base + stride * n
     if stop < 0:
         stop = None
-    if space.typed:
-        if space._tag[base:stop:stride].any():
-            raise _VBail
-        arr = space._ival[base:stop:stride]
-        if ((arr >= 2147483648) | (arr < -2147483648)).any():
-            raise _VBail
-        return arr.copy()
     values = space.slots[base:stop:stride]
     if set(map(type, values)) != {int}:
         raise _VBail
@@ -444,10 +424,6 @@ def _vgathf(space, ptrs, stride, n, cache=None):
     stop = base + stride * n
     if stop < 0:
         stop = None
-    if space.typed:
-        if (space._tag[base:stop:stride] != 1).any():  # TAG_FLOAT
-            raise _VBail
-        return space._fval[base:stop:stride].copy()
     values = space.slots[base:stop:stride]
     if set(map(type, values)) != {float}:
         raise _VBail
@@ -464,13 +440,6 @@ def _vg0i(space, ptr):
         p = ptr
     if p < 0 or p >= space._stack_pointer:
         raise _VBail
-    if space.typed:
-        if space._tag[p]:
-            raise _VBail
-        value = int(space._ival[p])
-        if not -2147483648 <= value < 2147483648:
-            raise _VBail
-        return value
     value = space.slots[p]
     if type(value) is not int or not -2147483648 <= value < 2147483648:
         raise _VBail
@@ -487,10 +456,6 @@ def _vg0f(space, ptr):
         p = ptr
     if p < 0 or p >= space._stack_pointer:
         raise _VBail
-    if space.typed:
-        if space._tag[p] != 1:  # TAG_FLOAT
-            raise _VBail
-        return float(space._fval[p])
     value = space.slots[p]
     if type(value) is not float:
         raise _VBail
@@ -508,27 +473,11 @@ def _vput(space, base, stride, n, values):
             last = values[n - 1].item()
         else:
             last = values
-        if space.typed:
-            space._write(base, last)
-        else:
-            space.slots[base] = last
+        space.slots[base] = last
         return
     stop = base + stride * n
     if stop < 0:
         stop = None
-    if space.typed:
-        window = slice(base, stop, stride)
-        if isinstance(values, _np.ndarray):
-            is_float = values.dtype.kind == "f"
-        else:
-            is_float = isinstance(values, float)
-        if is_float:
-            space._fval[window] = values
-            space._tag[window] = 1  # TAG_FLOAT
-        else:
-            space._ival[window] = values
-            space._tag[window] = 0  # TAG_INT
-        return
     if isinstance(values, _np.ndarray):
         space.slots[base:stop:stride] = values.tolist()
     else:
@@ -1631,12 +1580,10 @@ class _VecEmitter:
         out.extend(self.epilogue_lines())
         return out
 
-    def epilogue_lines(self, event_bases=None):
-        """Loop-exit closed forms shared by the vector and parallel commit
-        arms: header-phi final values, the exit compare, the bulk profile
-        delivery (with ``event_bases`` overriding the per-access base
-        expressions when the body ran out-of-process), the fuel charge,
-        and the jump to the exit block."""
+    def epilogue_lines(self):
+        """Loop-exit closed forms of the commit arm: header-phi final
+        values, the exit compare, the bulk profile delivery, the fuel
+        charge, and the jump to the exit block."""
         em = self.em
         vec = self.vec
         out = []
@@ -1661,9 +1608,8 @@ class _VecEmitter:
         if em.instrumented:
             tuples = ", ".join(
                 f"({access.is_write!r}, {access.offset}, "
-                f"{event_bases[index] if event_bases is not None else self._event_base(access)}, "
-                f"{_c(access.stride)})"
-                for index, access in enumerate(vec.accesses)
+                f"{self._event_base(access)}, {_c(access.stride)})"
+                for access in vec.accesses
             )
             out.append(
                 f"_rt.vec_loop({vec.loop_id!r}, _cost, _vn, "
@@ -1693,8 +1639,7 @@ def emit_trip_prologue(emitter, vec_plan):
     trip count computes ``_vn`` from the live start/bound registers and
     opens a guard taken only when the count is in kernel range *and* the
     IV's final value still fits i32 — the no-wrap proof that makes the
-    closed forms exact (see :func:`_trip_runtime`). Shared by the vector
-    section and the parallel tier's DOALL/TLS sections."""
+    closed forms exact (see :func:`_trip_runtime`)."""
     lines = []
     guard = 0
     if vec_plan.trip is not None:

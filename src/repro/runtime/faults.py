@@ -1,57 +1,30 @@
-"""Fault-injection hooks for worker tiers (sweep engine + parallel tier).
+"""Fault-injection hook for the sweep engine's worker processes.
 
-A sentinel environment variable arms a self-inflicted fault inside a worker
-process, letting smoke tests exercise the recovery paths (retry, quarantine,
-TLS rollback) without real crashes:
+``REPRO_SWEEP_FAULT_SENTINEL`` arms a self-inflicted fault inside a sweep
+worker, letting smoke tests exercise the recovery paths (retry,
+quarantine) without real crashes:
 
-- ``always``          — every worker task SIGKILLs itself.
-- ``<path>``          — exactly one task fleet-wide dies: the sentinel file
-                        is created with ``O_EXCL`` so concurrent workers race
-                        for a single SIGKILL.
-- ``kill:<path>``     — explicit spelling of the single-kill mode.
-- ``hang:<path>``     — exactly one task fleet-wide hangs (sleeps far past
-                        any task timeout), exercising the hung-chunk retry.
-
-The sweep engine listens on ``REPRO_SWEEP_FAULT_SENTINEL``; the parallel
-execution tier listens on ``REPRO_PAR_FAULT_SENTINEL`` so arming one tier
-never perturbs the other.
+- ``always`` — every worker task SIGKILLs itself.
+- ``<path>`` — exactly one task fleet-wide dies: the sentinel file is
+  created with ``O_EXCL`` so concurrent workers race for a single SIGKILL.
 """
 
 from __future__ import annotations
 
 import os
 import signal
-import time
 
 FAULT_SENTINEL_ENV = "REPRO_SWEEP_FAULT_SENTINEL"
-PAR_FAULT_SENTINEL_ENV = "REPRO_PAR_FAULT_SENTINEL"
-
-#: How long a "hung" worker sleeps; anything far beyond the task timeout.
-HANG_SECONDS = 3600.0
 
 
-def _claim(path):
-    """Atomically claim the sentinel file; True for exactly one caller."""
-    try:
-        fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except OSError:
-        return False
-    os.close(fd)
-    return True
-
-
-def maybe_inject_fault(env_var=FAULT_SENTINEL_ENV):
-    """Fault this process if the sentinel for ``env_var`` is armed."""
-    sentinel = os.environ.get(env_var)
+def maybe_inject_fault():
+    """SIGKILL this process if the sweep fault sentinel is armed."""
+    sentinel = os.environ.get(FAULT_SENTINEL_ENV)
     if not sentinel:
         return
-    if sentinel == "always":
-        os.kill(os.getpid(), signal.SIGKILL)
-    mode, sep, path = sentinel.partition(":")
-    if sep and mode == "hang":
-        if _claim(path):
-            time.sleep(HANG_SECONDS)
-        return
-    target = path if (sep and mode == "kill") else sentinel
-    if _claim(target):
-        os.kill(os.getpid(), signal.SIGKILL)
+    if sentinel != "always":
+        try:
+            os.close(os.open(sentinel, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+        except OSError:
+            return  # another task already claimed the single kill
+    os.kill(os.getpid(), signal.SIGKILL)

@@ -99,7 +99,6 @@ class RunTelemetry:
         self._outcomes = {"parallel_loops": 0, "serial_loops": 0}
         self._cache_stats = {}
         self._vec_decisions = {}
-        self._par_stats = {}
         self._fuzz = {"cases": 0, "quarantined": 0, "by_oracle": {},
                       "wall_s": 0.0}
         if _replay:
@@ -214,17 +213,6 @@ class RunTelemetry:
         self._append({
             "type": "vec_decisions", "summary": self._vec_decisions,
         })
-
-    def record_par_stats(self, stats):
-        """Snapshot the parallel tier's executor counters for the run's
-        workload (see :class:`repro.interp.parexec.ParExecutor`):
-        ``{"workers", "doall_dispatches", "doall_chunks", "tls_commits",
-        "tls_rollbacks", "tls_aborts", ...}``. The latest snapshot wins and
-        lands in the manifest, so ``repro runs show`` answers "how much of
-        this run executed on the pool, and how often speculation rolled
-        back" without rerunning anything."""
-        self._par_stats = dict(stats)
-        self._append({"type": "par_stats", "stats": self._par_stats})
 
     def fuzz_case(self, *, seed, profile, verdict, case_id=None,
                   oracles=(), wall_s=0.0):
@@ -341,10 +329,6 @@ class RunTelemetry:
                 summary = event.get("summary")
                 if isinstance(summary, dict):
                     self._vec_decisions = summary
-            elif kind == "par_stats":
-                stats = event.get("stats")
-                if isinstance(stats, dict):
-                    self._par_stats = stats
             elif kind == "fuzz_case":
                 try:
                     self._absorb_fuzz_case(event)
@@ -394,7 +378,6 @@ class RunTelemetry:
             "outcomes": dict(self._outcomes),
             "cache_stats": dict(self._cache_stats),
             "vec_decisions": dict(self._vec_decisions),
-            "par_stats": dict(self._par_stats),
             "fuzz": {
                 "cases": self._fuzz["cases"],
                 "quarantined": self._fuzz["quarantined"],
@@ -554,23 +537,6 @@ def format_run_summary(manifest):
             bailouts.items(), key=lambda item: (-item[1], item[0])
         ):
             lines.append(f"    bailout {reason}: {count}")
-    par = manifest.get("par_stats") or {}
-    if par:
-        soundness = par.get("soundness") or {}
-        lines.append(
-            f"  parallel:     {soundness.get('runs_checked', 0)} runs "
-            f"checked, {soundness.get('pool_commits', 0)} pool commits, "
-            f"{soundness.get('tls_commits', 0)} TLS commits "
-            f"({soundness.get('tls_rollbacks', 0)} rollbacks), "
-            f"{par.get('soundness_mismatches', 0)} mismatches"
-        )
-        for workers, geomean in sorted(
-            (par.get("achieved_vs_jit_geomeans") or {}).items(),
-            key=lambda item: int(item[0]),
-        ):
-            lines.append(
-                f"    achieved @{workers}w: {geomean}x vs jit"
-            )
     fuzz = manifest.get("fuzz") or {}
     if fuzz.get("cases"):
         lines.append(

@@ -46,6 +46,23 @@ class TestAddressSpace:
         assert a2 == a
         assert space.load(a2) == 0
 
+    def test_growing_allocation_keeps_stale_slots_below_high_water(self):
+        # Stack-reuse quirk: an allocation that grows the slot list zeroes
+        # only the slots beyond the old high-water mark; the reused slots
+        # below it keep what the previous frame left, even with a zero of
+        # another type. Uninitialized MiniC locals observe this
+        # (STACK_REUSE_SOURCE in test_differential_backends.py).
+        space = AddressSpace()
+        a = space.allocate(4, 0, None)
+        for offset in range(4):
+            space.store(a + offset, 10 + offset)
+        space.release_to(a)
+        b = space.allocate(6, 0.0, None)
+        assert b == a
+        values = [space.load(b + offset) for offset in range(6)]
+        assert values == [10, 11, 12, 13, 0.0, 0.0]
+        assert [type(v) for v in values] == [int] * 4 + [float] * 2
+
     def test_marks_for_globals_is_none(self):
         space = AddressSpace()
 

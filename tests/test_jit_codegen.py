@@ -51,7 +51,6 @@ class TestBackendSelection:
     def test_default_is_vec(self, monkeypatch):
         monkeypatch.delenv("REPRO_NO_JIT", raising=False)
         monkeypatch.delenv("REPRO_NO_VEC", raising=False)
-        monkeypatch.delenv("REPRO_PAR", raising=False)
         assert backend_from_env() == "vec"
 
     @pytest.mark.parametrize("value", ["1", "true", "yes", "on"])
@@ -71,7 +70,6 @@ class TestBackendSelection:
         assert backend_from_env() == "closure"
 
     def test_falsy_env_values_keep_vec(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PAR", raising=False)
         for value in ("", "0", "false"):
             monkeypatch.setenv("REPRO_NO_JIT", value)
             monkeypatch.setenv("REPRO_NO_VEC", value)
@@ -156,6 +154,12 @@ class TestCodeCache:
         assert jit_cache_key(function, None, False) != jit_cache_key(
             function, None, True
         )
+
+    def test_parallel_tier_request_rejected(self):
+        from repro.interp.codegen import jit_entry
+
+        with pytest.raises(ValueError, match="parallel"):
+            jit_entry(self._function(), None, False, parallel=True)
 
     def test_pipeline_fingerprint_distinguishes_identical_ir(self):
         """Stale-hit regression: the transforms leave TIGHT_LOOP alone, so

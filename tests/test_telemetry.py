@@ -187,3 +187,42 @@ def test_describe_mentions_retries(tmp_path, grid_results):
     line = telemetry.describe()
     assert telemetry.run_id in line
     assert "1 retries" in line
+
+
+def test_run_with_removed_par_stats_event_still_loads(tmp_path, grid_results):
+    """Run directories recorded while the parallel execution tier existed
+    carry a ``par_stats`` ledger event and manifest key. They must still
+    replay without corruption and render in ``repro runs show``."""
+    import io
+
+    from repro.cli import main
+
+    telemetry = RunTelemetry.create(root=tmp_path)
+    task, results = next(iter(grid_results.items()))
+    telemetry.task_done(task, results, instructions=7)
+    telemetry.finish()
+    par_stats = {"workers": 2, "doall_dispatches": 3, "tls_commits": 5,
+                 "soundness": {"runs_checked": 4, "pool_commits": 3}}
+    with open(telemetry.ledger_path, "a") as handle:
+        handle.write(json.dumps(
+            {"type": "par_stats", "stats": par_stats, "time": 0.0}) + "\n")
+    manifest = json.loads(telemetry.manifest_path.read_text())
+    manifest["par_stats"] = par_stats
+    telemetry.manifest_path.write_text(json.dumps(manifest, indent=1))
+
+    def show():
+        out = io.StringIO()
+        code = main(["runs", "show", telemetry.run_id,
+                     "--runs-dir", str(tmp_path)], out=out)
+        assert code == 0
+        return out.getvalue()
+
+    text = show()
+    assert f"run {telemetry.run_id} [complete]" in text
+    assert "1 done" in text and "7 profiled" in text
+
+    resumed = RunTelemetry.resume(telemetry.run_id, root=tmp_path)
+    assert resumed.corrupt_lines == 0
+    assert resumed.completed_results(task, list(CONFIGS)) is not None
+    assert "par_stats" not in resumed.summary()
+    assert "7 profiled" in show()

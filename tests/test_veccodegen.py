@@ -580,6 +580,10 @@ class TestTierBench:
             parse_tiers("jit,turbo")
         with pytest.raises(ValueError, match="at least two"):
             parse_tiers("vec")
+        with pytest.raises(ValueError, match="duplicate tier"):
+            parse_tiers("vec,vec")
+        with pytest.raises(ValueError, match="duplicate tier"):
+            parse_tiers("closure,jit,closure")
 
     def test_time_source_runs_each_tier(self):
         from repro.bench.tiers import time_source
