@@ -3,7 +3,7 @@
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: install test lint-ir crosscheck advise-report transform-report fuzz-smoke fuzz-report bench bench-interp sweep-smoke sweep-fault-smoke figures examples clean
+.PHONY: install test lint-ir crosscheck advise-report transform-report fuzz-smoke fuzz-report bench bench-interp perfbench-smoke sweep-smoke sweep-fault-smoke figures examples clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -40,6 +40,12 @@ bench:
 
 bench-interp:
 	python tools/bench_interp.py
+
+# The limit-study benchmark's own checks (~45s): its self-tests, then a
+# smoke run of each workload; fails when any pass is incorrect.
+perfbench-smoke:
+	python -m pytest -q perfbench/test_perfbench.py
+	python tools/perfbench_smoke.py
 
 sweep-smoke:
 	python -c "\

@@ -15,6 +15,15 @@ The evaluation walks the loop-invocation tree bottom-up:
    above 80 %; HELIX: no aggregate gain — and the evaluation re-runs until
    the marking set is stable (marking only grows, so this terminates).
 
+Leaf invocations (no nested loop ran inside them) are nearly all of the
+tree and need no child savings, so each loop's leaves are priced together
+as one column of arrays (:class:`_LeafColumn`). Every gate is per static
+loop, so a loop's leaves always share a gate, and the column's outcome
+depends only on the model, the register-LCD treatment and the LCD set: it
+is memoized on exactly that, once per profile, and reused across
+configurations and fixpoint re-runs. Invocations with children keep the
+per-invocation walk.
+
 Producer/consumer skews were recorded against serial timestamps; when inner
 parallelism shrinks an invocation they are scaled by the invocation's
 overall shrink factor (documented approximation; see DESIGN.md).
@@ -36,29 +45,31 @@ from ..runtime.cost_models import (
 )
 from .static_info import PHI_NONCOMPUTABLE, PHI_REDUCTION
 
+#: Serial reasons as small integer codes for outcome columns; 0 = parallel.
+_REASONS = (
+    "", "untracked", "outer-loop", "marked", "fn", "register-lcd",
+    "conflict", "conflict-rate", "no-gain", "sync-bound",
+)
+_REASON_CODE = {reason: code for code, reason in enumerate(_REASONS)}
+
 
 class ProfileCache:
     """Config-independent derived data, shared across configurations.
 
     Everything here is a pure memo over the (immutable, post-``finish``)
-    profile: value-predictor outcomes per (invocation, phi), raw
-    iteration-cost arrays, the flattened invocation list, and the
-    register-LCD key set per (loop, ``reduc`` flag). Caching never changes
-    a result — only how often it is recomputed — so serial, warm-start,
-    and process-pool evaluations stay bit-identical.
+    profile: value-predictor outcomes per (invocation, phi), the
+    evaluation plan (per-loop leaf columns and the records of invocations
+    with children), and each loop's priced leaf outcomes. Caching never
+    changes a result — only how often it is recomputed — so serial,
+    warm-start, and process-pool evaluations stay bit-identical.
     """
 
     def __init__(self, profile):
         self.profile = profile
         self._flags = {}
         self._mispredicted = {}
-        self._iter_costs = {}
-        self._raw_serial = {}
-        self._invocations = None
-        self._lcd_keys = {}
-        self._records = None
-        self._records_static = None
-        self._top = None
+        self._plan = None
+        self._plan_static = None
 
     def predictor_flags(self, invocation, phi_key):
         """Perfect-hybrid correctness flags for the phi's latch values."""
@@ -84,125 +95,399 @@ class ProfileCache:
             self._mispredicted[key] = missed
         return missed
 
-    def iteration_costs(self, invocation):
-        """The invocation's raw iteration spans as a float array.
-
-        The returned array is shared — callers that mutate must copy.
-        """
-        key = id(invocation)
-        costs = self._iter_costs.get(key)
-        if costs is None:
-            costs = np.asarray(invocation.iteration_costs(), dtype=float)
-            self._iter_costs[key] = costs
-        return costs
-
-    def invocations(self):
-        """The profile's flattened invocation list (parents first)."""
-        if self._invocations is None:
-            self._invocations = self.profile.all_invocations()
-        return self._invocations
-
-    def raw_serial(self, invocation):
-        """``float(np.sum(iteration_costs))`` of the unadjusted array."""
-        key = id(invocation)
-        serial = self._raw_serial.get(key)
-        if serial is None:
-            costs = self.iteration_costs(invocation)
-            serial = float(np.sum(costs)) if len(costs) else 0.0
-            self._raw_serial[key] = serial
-        return serial
-
-    def register_lcd_keys(self, static, config):
-        """The register LCDs constraining ``static`` under ``config.reduc``."""
-        key = (id(static), config.reduc)
-        keys = self._lcd_keys.get(key)
-        if keys is None:
-            keys = list(static.phis_of_class(PHI_NONCOMPUTABLE))
-            if config.reduc == 0:
-                keys.extend(static.phis_of_class(PHI_REDUCTION))
-            self._lcd_keys[key] = keys
-        return keys
-
-    def records(self, static_info):
-        """Config-independent per-invocation records, children-first.
-
-        One record per invocation, in the bottom-up order
-        ``_evaluate_once`` walks, with everything that does not depend on
-        the configuration precomputed: the static-loop lookup, child
-        record indices (so outcome arrays can be plain lists instead of
-        ``id()``-keyed dicts), the shared leaf cost arrays with their sum
-        and max, and the fn-flag serialization table. Rebuilding only
-        happens if a different ``static_info`` is passed (never in
-        practice: the cache and the static info belong to one instance).
-        """
-        if self._records is not None and self._records_static is static_info:
-            return self._records
-        reversed_invs = list(reversed(self.invocations()))
-        position = {id(inv): i for i, inv in enumerate(reversed_invs)}
-        loops = static_info.loops
-        records = []
-        for inv in reversed_invs:
-            rec = _InvRecord()
-            rec.inv = inv
-            rec.loop_id = inv.loop_id
-            rec.serial_cost_f = float(inv.serial_cost)
-            rec.num_iterations = inv.num_iterations
-            rec.conflict_pairs = inv.conflict_pairs
-            rec.children = [
-                (position[id(child)], float(child.serial_cost), child.parent_iter)
-                for child in inv.children
-            ]
-            if rec.children:
-                rec.eff_costs = None
-                rec.raw_serial = None
-                rec.raw_max = None
-            else:
-                costs = self.iteration_costs(inv)
-                rec.eff_costs = costs
-                rec.raw_serial = self.raw_serial(inv)
-                rec.raw_max = float(np.max(costs)) if len(costs) else 0.0
-            static = loops.get(inv.loop_id)
-            rec.static = static
-            rec.untracked = static is None or not static.trackable
-            if rec.untracked:
-                rec.fn_serial = (False, False, False, False)
-                rec.reg_keys_r0 = rec.reg_keys_base = ()
-            else:
-                rec.fn_serial = (
-                    static.serial_under_fn(0),
-                    static.serial_under_fn(1),
-                    static.serial_under_fn(2),
-                    False,
-                )
-                base = list(static.phis_of_class(PHI_NONCOMPUTABLE))
-                rec.reg_keys_base = base
-                rec.reg_keys_r0 = base + list(static.phis_of_class(PHI_REDUCTION))
-            records.append(rec)
-        self._top = [
-            (position[id(inv)], float(inv.serial_cost))
-            for inv in self.profile.top_level
-        ]
-        self._records = records
-        self._records_static = static_info
-        return records
-
-    @property
-    def top_records(self):
-        """``(record_index, serial_cost)`` per top-level invocation (in
-        ``profile.top_level`` order); valid after :meth:`records`."""
-        return self._top
+    def plan(self, static_info):
+        """The profile's :class:`_Plan` against ``static_info``, built on
+        first use. Rebuilding only happens if a different ``static_info``
+        is passed (never in practice: the cache and the static info belong
+        to one instance)."""
+        if self._plan is None or self._plan_static is not static_info:
+            self._plan = _Plan(self.profile, static_info)
+            self._plan_static = static_info
+        return self._plan
 
 
-class _InvRecord:
-    """Config-independent evaluation state of one invocation (see
-    :meth:`ProfileCache.records`)."""
+class _Plan:
+    """Config-independent evaluation layout of one profile.
+
+    Invocations are numbered children-first (the order the bottom-up walk
+    needs). Each static loop gets a :class:`_Loop` in order of its first
+    invocation, holding its leaves as one column and its invocations with
+    children as :class:`_Node` records; ``nodes`` lists every node in walk
+    order.
+    """
+
+    __slots__ = ("size", "loops", "nodes", "top_pos", "top_serial")
+
+    def __init__(self, profile, static_info):
+        order = list(reversed(profile.all_invocations()))
+        position = {id(inv): index for index, inv in enumerate(order)}
+        loops = {}
+        members = {}  # loop_id -> [(index, inv, _Node or None for a leaf)]
+        self.nodes = []
+        for index, inv in enumerate(order):
+            loop = loops.get(inv.loop_id)
+            if loop is None:
+                loop = loops[inv.loop_id] = _Loop(
+                    inv.loop_id, static_info.loops.get(inv.loop_id))
+                members[inv.loop_id] = []
+            node = None
+            if inv.children:
+                node = _Node(inv, index, len(self.nodes), loop, position)
+                self.nodes.append(node)
+            members[inv.loop_id].append((index, inv, node))
+        for loop_id, loop in loops.items():
+            loop.set_members(members[loop_id])
+        self.size = len(order)
+        self.loops = list(loops.values())
+        self.top_pos = np.array(
+            [position[id(inv)] for inv in profile.top_level], dtype=np.intp)
+        self.top_serial = [float(inv.serial_cost) for inv in profile.top_level]
+
+
+class _Loop:
+    """One static loop: its gates, leaf column, nodes and outcome memo."""
 
     __slots__ = (
-        "inv", "loop_id", "static", "untracked", "children",
-        "eff_costs", "raw_serial", "raw_max", "serial_cost_f",
-        "num_iterations", "conflict_pairs", "fn_serial",
-        "reg_keys_r0", "reg_keys_base",
+        "loop_id", "untracked", "fn_serial", "reg_keys", "leaves", "nodes",
+        "leaf_slots", "node_slots", "outcomes",
     )
+
+    def __init__(self, loop_id, static):
+        self.loop_id = loop_id
+        self.untracked = static is None or not static.trackable
+        if self.untracked:
+            self.fn_serial = (False, False, False, False)
+            self.reg_keys = ((), ())
+        else:
+            self.fn_serial = (
+                static.serial_under_fn(0),
+                static.serial_under_fn(1),
+                static.serial_under_fn(2),
+                False,
+            )
+            base = tuple(static.phis_of_class(PHI_NONCOMPUTABLE))
+            # Indexed by the reduc flag: reduc0 keeps reductions as LCDs.
+            self.reg_keys = (base + tuple(static.phis_of_class(PHI_REDUCTION)),
+                             base)
+        self.outcomes = {}
+
+    def set_members(self, members):
+        """Build the leaf column, the node list and where each sits in the
+        loop's walk order (``members``: ``(index, inv, node-or-None)``)."""
+        leaves = [(index, inv) for index, inv, node in members if node is None]
+        self.leaves = _LeafColumn(leaves) if leaves else None
+        self.nodes = [node for _, _, node in members if node is not None]
+        is_leaf = np.array([node is None for _, _, node in members])
+        self.leaf_slots = np.flatnonzero(is_leaf)
+        self.node_slots = np.flatnonzero(~is_leaf)
+
+    def gate(self, config, forced_serial, outer=False):
+        """The reason every invocation of this loop is serial under
+        ``config`` whatever its data, or ``None``."""
+        if self.untracked:
+            return "untracked"
+        if outer:
+            # Related-work mode (Kejariwal et al., §V): only innermost loops
+            # are candidates; outer-loop and nested parallelization are
+            # disabled.
+            return "outer-loop"
+        if forced_serial and self.loop_id in forced_serial:
+            return "marked"
+        if self.fn_serial[config.fn]:
+            return "fn"
+        if config.dep == 0 and self.reg_keys[config.reduc]:
+            return "register-lcd"
+        return None
+
+    def price_leaves(self, config, cache, forced_serial):
+        """The leaf column's :class:`_LeafOutcome` under ``config``.
+
+        Memo key: the gate reason, or ``(model, lowered dep, LCD set)`` —
+        with no surviving register LCDs (or under ``dep3``) the dep flag
+        and the LCD set change nothing, and the ``fn`` bit and the marking
+        only ever select a serial gate.
+        """
+        reason = self.gate(config, forced_serial)
+        if reason is not None:
+            key = reason
+        else:
+            reg_keys = self.reg_keys[config.reduc]
+            lowered = config.dep if reg_keys and config.dep in (1, 2) else 0
+            key = (config.model, lowered, reg_keys if lowered else ())
+        outcome = self.outcomes.get(key)
+        if outcome is None:
+            column = self.leaves
+            if reason is not None:
+                outcome = _LeafOutcome(
+                    column, column.serial, np.zeros(column.count, dtype=bool),
+                    np.full(column.count, _REASON_CODE[reason], dtype=np.int8),
+                    np.zeros(column.count, dtype=np.int64),
+                )
+            else:
+                outcome = _price_column(column, config, cache, reg_keys,
+                                        lowered)
+            self.outcomes[key] = outcome
+        return outcome
+
+
+class _LeafColumn:
+    """A loop's leaf invocations as arrays, in walk order.
+
+    ``costs`` concatenates every leaf's raw iteration spans
+    (``costs[offsets[i]:offsets[i + 1]]`` is leaf ``i``); ``serial`` and
+    ``max`` are the per-leaf sum and maximum. The spans are integer
+    instruction counts, so the sums are exact in any order.
+    """
+
+    __slots__ = (
+        "invs", "positions", "count", "costs", "offsets", "serial", "max",
+        "trips", "conflict", "npairs", "skew", "serial_total", "iterations",
+    )
+
+    def __init__(self, leaves):
+        self.positions = np.array([index for index, _ in leaves],
+                                  dtype=np.intp)
+        invs = self.invs = [inv for _, inv in leaves]
+        self.count = len(invs)
+        stamps = []
+        for inv in invs:
+            stamps.extend(inv.iter_starts)
+            stamps.append(inv.end_ts)
+        trips = self.trips = np.array([len(inv.iter_starts) for inv in invs],
+                                      dtype=np.int64)
+        # np.diff over the concatenated stamps, minus the diffs that cross
+        # from one leaf's end to the next leaf's first start.
+        crossings = np.cumsum(trips + 1)[:-1] - 1
+        self.costs = np.delete(np.diff(np.array(stamps, dtype=float)),
+                               crossings)
+        self.offsets = np.concatenate(([0], np.cumsum(trips)))
+        starts = self.offsets[:-1]
+        self.serial = np.add.reduceat(self.costs, starts)
+        self.max = np.maximum.reduceat(self.costs, starts)
+        self.conflict = np.array([inv.conflict_count > 0 for inv in invs],
+                                 dtype=bool)
+        self.npairs = np.array([len(inv.conflict_pairs) for inv in invs],
+                               dtype=np.int64)
+        self.skew = np.array([inv.max_mem_skew for inv in invs], dtype=float)
+        self.serial_total = float(np.add.accumulate(self.serial)[-1])
+        self.iterations = int(trips.sum())
+
+
+class _LeafOutcome:
+    """One outcome class of a leaf column: per-leaf cost (the effective
+    cost: the parallel cost, or the serial cost), covered cost, serial
+    reason code and conflicting-iteration count, plus the loop-summary
+    aggregates over the whole column."""
+
+    __slots__ = ("cost", "covered", "codes", "nconf", "parallel_count",
+                 "parallel_total", "conflicts", "reasons")
+
+    def __init__(self, column, cost, parallel, codes, nconf):
+        self.cost = cost
+        self.covered = np.where(parallel, column.serial, 0.0)
+        self.codes = codes
+        self.nconf = nconf
+        self.parallel_count = int(np.count_nonzero(parallel))
+        # In walk order: HELIX costs are fractional, so the summary total
+        # must add them exactly as the per-invocation walk did.
+        self.parallel_total = float(np.add.accumulate(cost)[-1])
+        self.conflicts = int(nconf.sum())
+        self.reasons = _reason_counts(codes)
+
+
+def _reason_counts(codes):
+    """``((reason, count), ...)`` of the nonzero codes, in order of first
+    occurrence (the insertion order of :meth:`LoopSummary.note_reason`)."""
+    serial_at = np.flatnonzero(codes)
+    if not serial_at.size:
+        return ()
+    values, first, counts = np.unique(
+        codes[serial_at], return_index=True, return_counts=True)
+    return tuple(
+        (_REASONS[values[j]], int(counts[j])) for j in np.argsort(first)
+    )
+
+
+def _price_column(column, config, cache, reg_keys, lowered):
+    """Price every leaf of ``column`` under ``config``'s model.
+
+    Closed forms cover the column; only PDOALL leaves with conflict pairs
+    and HELIX ``dep2`` leaves (mispredicted-iteration skews) go through
+    :func:`_model_outcome` one at a time:
+
+    * DOALL: any conflict ⇒ serial, otherwise the slowest iteration;
+    * PDOALL: a leaf without conflict pairs costs its slowest iteration,
+      against serial. Under ``dep1`` every adjacent pair conflicts, so a
+      leaf is over the 80 % cut-off when ``(n-1)/n`` is, and otherwise
+      every phase is one iteration (no gain). Under ``dep2`` see
+      :func:`_lower_mispredicted`. Other leaves with pairs go per leaf;
+    * HELIX: ``max + skew·n`` against serial, with the ``dep1`` register
+      skews of :func:`_register_skews`; ``dep2`` skews go per leaf.
+
+    A leaf's raw serial equals its recorded span, so the HELIX shrink
+    factor is exactly 1.
+    """
+    serial, trips = column.serial, column.trips
+    model = config.model
+    per_leaf = None
+    if model == "doall":
+        parallel = ~column.conflict
+        cost = np.where(parallel, column.max, serial)
+        codes = np.where(parallel, 0, _REASON_CODE["conflict"])
+        nconf = column.npairs.copy()
+    elif model == "pdoall" and lowered == 1:
+        parallel = np.zeros(column.count, dtype=bool)
+        cost = serial
+        nconf = trips - 1
+        codes = np.where(nconf / trips > PDOALL_SERIAL_THRESHOLD,
+                         _REASON_CODE["conflict-rate"],
+                         _REASON_CODE["no-gain"])
+    elif model == "pdoall":
+        parallel = column.max < serial
+        cost = np.where(parallel, column.max, serial)
+        codes = np.where(parallel, 0, _REASON_CODE["no-gain"])
+        nconf = np.zeros(column.count, dtype=np.int64)
+        per_leaf = np.flatnonzero(column.npairs)
+    else:
+        skew = np.maximum(column.skew, 0.0)
+        if lowered == 1:
+            skew = np.maximum(skew, _register_skews(column, reg_keys))
+        elif lowered == 2:
+            per_leaf = np.arange(column.count)
+        helix = column.max + skew * trips
+        parallel = helix < serial
+        cost = np.where(parallel, helix, serial)
+        codes = np.where(parallel, 0, _REASON_CODE["sync-bound"])
+        nconf = column.npairs.copy()
+    codes = codes.astype(np.int8)
+    if model == "pdoall" and lowered == 2:
+        _lower_mispredicted(column, cache, reg_keys, cost, parallel, codes,
+                            nconf)
+    if per_leaf is not None and per_leaf.size:
+        serial_list = serial.tolist()
+        max_list = column.max.tolist()
+        offsets = column.offsets.tolist()
+        for i in per_leaf.tolist():
+            outcome, conflicts = _model_outcome(
+                column.invs[i], config, cache,
+                column.costs[offsets[i]:offsets[i + 1]],
+                serial_list[i], max_list[i], reg_keys,
+            )
+            cost[i] = outcome.cost
+            parallel[i] = outcome.parallel
+            codes[i] = 0 if outcome.parallel else _REASON_CODE[outcome.reason]
+            nconf[i] = conflicts
+    return _LeafOutcome(column, cost, parallel, codes, nconf)
+
+
+def _register_skews(column, reg_keys):
+    """Per leaf, the largest producer->consumer skew of any of ``reg_keys``
+    lowered to memory (``dep1``): :func:`_reg_skew` over the whole column.
+
+    Producer iteration ``p``'s definition pairs with consumer ``p+1``'s
+    first use; a missing use (``None``, read as NaN) imposes no wait.
+    """
+    best = np.zeros(column.count)
+    for key in reg_keys:
+        defs_all = []
+        uses_all = []
+        pairs = []
+        for inv in column.invs:
+            defs = inv.lcd_def_offsets.get(key, [])
+            uses = inv.lcd_use_offsets.get(key, [])
+            count = max(0, min(len(defs), len(uses) - 1))
+            defs_all.extend(defs[:count])
+            uses_all.extend(uses[1:count + 1])
+            pairs.append(count)
+        if not defs_all:
+            continue
+        skew = (np.array(defs_all, dtype=float)
+                - np.array(uses_all, dtype=float))
+        skew = np.where(skew > 0, skew, 0.0)
+        pairs = np.array(pairs)
+        has = pairs > 0
+        starts = (np.cumsum(pairs) - pairs)[has]
+        best[has] = np.maximum(best[has], np.maximum.reduceat(skew, starts))
+    return best
+
+
+def _lower_mispredicted(column, cache, reg_keys, cost, parallel, codes,
+                        nconf):
+    """PDOALL ``dep2`` for the leaves without memory conflict pairs, in
+    place.
+
+    Each mispredicted consumer iteration conflicts only with its
+    predecessor, which is always in the current phase, so every one of
+    them starts a phase: the phase breaks are the sorted consumers. All
+    breaks go into one segmented max over the column.
+    """
+    offsets = column.offsets.tolist()
+    leaves = np.flatnonzero(column.npairs == 0)
+    counts = np.zeros(column.count, dtype=np.int64)
+    breaks = []
+    for i in leaves.tolist():
+        inv = column.invs[i]
+        n = offsets[i + 1] - offsets[i]
+        consumers = set()
+        for key in reg_keys:
+            consumers.update(
+                consumer
+                for consumer in cache.mispredicted_iterations(inv, key)
+                if consumer < n
+            )
+        counts[i] = len(consumers)
+        breaks.extend(offsets[i] + consumer for consumer in consumers)
+    if not breaks:
+        return
+    leaf_starts = column.offsets[:-1]
+    starts = np.sort(np.concatenate((leaf_starts, breaks)))
+    totals = np.add.reduceat(
+        np.maximum.reduceat(column.costs, starts),
+        np.searchsorted(starts, leaf_starts),
+    )
+    hit = leaves[counts[leaves] > 0]
+    over = counts[hit] / column.trips[hit] > PDOALL_SERIAL_THRESHOLD
+    total = totals[hit]
+    serial = column.serial[hit]
+    gain = ~over & (total < serial)
+    parallel[hit] = gain
+    cost[hit] = np.where(gain, total, serial)
+    codes[hit] = np.where(
+        over, _REASON_CODE["conflict-rate"],
+        np.where(gain, 0, _REASON_CODE["no-gain"]),
+    )
+    nconf[hit] = counts[hit]
+
+
+class _Node:
+    """Config-independent state of one invocation with children: its raw
+    iteration costs and, per child, the record to read the effective cost
+    and coverage from."""
+
+    __slots__ = (
+        "inv", "index", "rank", "loop", "costs", "serial_cost_f",
+        "child_pos", "apply_pos", "apply_iter", "apply_serial",
+    )
+
+    def __init__(self, inv, index, rank, loop, position):
+        self.inv = inv
+        self.index = index
+        self.rank = rank
+        self.loop = loop
+        self.costs = np.asarray(inv.iteration_costs(), dtype=float)
+        self.serial_cost_f = float(inv.serial_cost)
+        self.child_pos = np.array(
+            [position[id(child)] for child in inv.children], dtype=np.intp)
+        # Savings land only on children recorded inside an iteration.
+        n_costs = len(self.costs)
+        inside = [child for child in inv.children
+                  if 0 <= child.parent_iter < n_costs]
+        self.apply_pos = np.array([position[id(child)] for child in inside],
+                                  dtype=np.intp)
+        self.apply_iter = np.array([child.parent_iter for child in inside],
+                                   dtype=np.intp)
+        self.apply_serial = np.array(
+            [float(child.serial_cost) for child in inside], dtype=float)
 
 
 class LoopSummary:
@@ -347,36 +632,18 @@ def _reg_skew(invocation, phi_key, restrict_to=None):
     return best
 
 
-def _apply_model(rec, config, cache, forced_serial, eff_costs,
-                 serial, eff_max, innermost_only=False):
-    """Decide this invocation's outcome; returns (ModelOutcome, n_conflict_iters).
+def _model_outcome(invocation, config, cache, eff_costs, serial, eff_max,
+                   reg_keys):
+    """Price one invocation that passed every gate; returns
+    ``(ModelOutcome, n_conflict_iters)``.
 
     ``serial`` is the caller's precomputed ``float(np.sum(eff_costs))`` —
     the summary needs it too, so the array is summed exactly once.
     ``eff_max`` is the precomputed max of ``eff_costs`` for untouched leaf
     arrays (None when the array was adjusted for child savings).
+    ``reg_keys`` are the register LCDs that survive ``config.reduc``.
     """
-    invocation = rec.inv
     n = len(eff_costs)
-
-    def serial_with(reason):
-        return ModelOutcome(serial, False, reason), 0
-
-    if rec.untracked:
-        return serial_with("untracked")
-    if innermost_only and rec.children:
-        # Related-work mode (Kejariwal et al., §V): only innermost loops are
-        # candidates; outer-loop and nested parallelization are disabled.
-        return serial_with("outer-loop")
-    if forced_serial and rec.loop_id in forced_serial:
-        return serial_with("marked")
-    fn = config.fn
-    if rec.fn_serial[fn if fn < 3 else 3]:
-        return serial_with("fn")
-
-    reg_keys = rec.reg_keys_r0 if config.reduc == 0 else rec.reg_keys_base
-    if config.dep == 0 and reg_keys:
-        return serial_with("register-lcd")
 
     # Conflict pairs: consumer iteration -> latest producer iteration.
     # Copied only on the paths that inject extra (lowered/mispredicted
@@ -439,65 +706,108 @@ def _apply_model(rec, config, cache, forced_serial, eff_costs,
 
 def _evaluate_once(profile, static_info, config, cache, forced_serial,
                    innermost_only=False):
-    records = cache.records(static_info)
-    effective = [0.0] * len(records)
-    covered = [0.0] * len(records)
-    summaries = {}
+    plan = cache.plan(static_info)
+    # Per invocation (walk order): effective cost and covered cost.
+    effective = np.empty(plan.size)
+    covered = np.empty(plan.size)
 
-    for index, rec in enumerate(records):
-        child_covered = 0.0
-        children = rec.children
-        if children:
-            eff_costs = cache.iteration_costs(rec.inv).copy()
-            n_costs = len(eff_costs)
-            for child_index, child_serial, parent_iter in children:
-                saving = child_serial - effective[child_index]
-                if 0 <= parent_iter < n_costs:
-                    eff_costs[parent_iter] = max(
-                        0.0, eff_costs[parent_iter] - saving
-                    )
-                child_covered += covered[child_index]
-            serial = float(np.sum(eff_costs)) if n_costs else 0.0
-            eff_max = None
+    # Leaves first: they depend on nothing but the configuration.
+    leaf_outcomes = []
+    for loop in plan.loops:
+        outcome = None
+        if loop.leaves is not None:
+            outcome = loop.price_leaves(config, cache, forced_serial)
+            effective[loop.leaves.positions] = outcome.cost
+            covered[loop.leaves.positions] = outcome.covered
+        leaf_outcomes.append(outcome)
+
+    # Then invocations with children, bottom-up.
+    node_results = []
+    for node in plan.nodes:
+        eff_costs = node.costs.copy()
+        if node.apply_iter.size:
+            # Child savings are non-negative, so clamping once after the
+            # in-order subtraction equals clamping after every step.
+            np.subtract.at(eff_costs, node.apply_iter,
+                           node.apply_serial - effective[node.apply_pos])
+            np.maximum(eff_costs, 0.0, out=eff_costs)
+        child_covered = float(np.add.accumulate(covered[node.child_pos])[-1])
+        serial = float(np.sum(eff_costs)) if len(eff_costs) else 0.0
+        reason = node.loop.gate(config, forced_serial, outer=innermost_only)
+        if reason is None:
+            outcome, n_conflicts = _model_outcome(
+                node.inv, config, cache, eff_costs, serial, None,
+                node.loop.reg_keys[config.reduc],
+            )
         else:
-            # Leaf invocations (the vast majority) share the cached array
-            # and its config-independent sum/max; no model mutates its input.
-            eff_costs = rec.eff_costs
-            serial = rec.raw_serial
-            eff_max = rec.raw_max
-        outcome, n_conflicts = _apply_model(
-            rec, config, cache, forced_serial, eff_costs,
-            serial, eff_max, innermost_only=innermost_only,
-        )
-
-        loop_id = rec.loop_id
-        summary = summaries.get(loop_id)
-        if summary is None:
-            summary = summaries[loop_id] = LoopSummary(loop_id)
-        summary.invocations += 1
-        summary.serial_cost += serial
-        summary.parallel_cost += outcome.cost
-        summary.iterations += rec.num_iterations
-        summary.conflicting_iterations += n_conflicts
+            outcome, n_conflicts = ModelOutcome(serial, False, reason), 0
         if outcome.parallel:
-            summary.parallel_invocations += 1
-            effective[index] = outcome.cost
-            covered[index] = rec.serial_cost_f
+            effective[node.index] = outcome.cost
+            covered[node.index] = node.serial_cost_f
         else:
-            summary.note_reason(outcome.reason)
-            effective[index] = serial
-            covered[index] = child_covered
+            effective[node.index] = serial
+            covered[node.index] = child_covered
+        node_results.append((serial, outcome, n_conflicts))
 
+    summaries = {
+        loop.loop_id: _summarize(loop, leaf_outcome, node_results)
+        for loop, leaf_outcome in zip(plan.loops, leaf_outcomes)
+    }
+
+    top_effective = effective[plan.top_pos].tolist()
     saved = sum(
-        serial_cost - effective[index]
-        for index, serial_cost in cache.top_records
+        serial_cost - eff
+        for serial_cost, eff in zip(plan.top_serial, top_effective)
     )
     total_parallel = max(1.0, profile.total_cost - saved)
-    total_covered = sum(covered[index] for index, _ in cache.top_records)
+    total_covered = sum(covered[plan.top_pos].tolist())
     coverage = (total_covered / profile.total_cost) if profile.total_cost else 0.0
     return EvaluationResult(
         config, float(profile.total_cost), total_parallel, coverage, summaries
     )
+
+
+def _summarize(loop, leaf_outcome, node_results):
+    """The loop's :class:`LoopSummary`. Costs are added in walk order, as
+    the per-invocation walk did: leaves and nodes of one loop interleave."""
+    summary = LoopSummary(loop.loop_id)
+    column = loop.leaves
+    if not loop.nodes:
+        summary.invocations = column.count
+        summary.parallel_invocations = leaf_outcome.parallel_count
+        summary.serial_cost = column.serial_total
+        summary.parallel_cost = leaf_outcome.parallel_total
+        summary.iterations = column.iterations
+        summary.conflicting_iterations = leaf_outcome.conflicts
+        summary.reasons = dict(leaf_outcome.reasons)
+        return summary
+    results = [node_results[node.rank] for node in loop.nodes]
+    slots = len(loop.leaf_slots) + len(results)
+    serial = np.empty(slots)
+    cost = np.empty(slots)
+    codes = np.empty(slots, dtype=np.int8)
+    serial[loop.node_slots] = [node_serial for node_serial, _, _ in results]
+    cost[loop.node_slots] = [outcome.cost for _, outcome, _ in results]
+    codes[loop.node_slots] = [
+        0 if outcome.parallel else _REASON_CODE[outcome.reason]
+        for _, outcome, _ in results
+    ]
+    summary.invocations = slots
+    summary.iterations = sum(node.inv.num_iterations for node in loop.nodes)
+    summary.conflicting_iterations = sum(n for _, _, n in results)
+    summary.parallel_invocations = sum(
+        1 for _, outcome, _ in results if outcome.parallel)
+    if column is not None:
+        serial[loop.leaf_slots] = column.serial
+        cost[loop.leaf_slots] = leaf_outcome.cost
+        codes[loop.leaf_slots] = leaf_outcome.codes
+        summary.iterations += column.iterations
+        summary.conflicting_iterations += leaf_outcome.conflicts
+        summary.parallel_invocations += leaf_outcome.parallel_count
+    summary.serial_cost = float(np.add.accumulate(serial)[-1])
+    summary.parallel_cost = float(np.add.accumulate(cost)[-1])
+    summary.reasons = dict(_reason_counts(codes))
+    return summary
 
 
 def _violations(result, config, forced_serial):

@@ -169,23 +169,19 @@ class ProfileStore:
         """Return a :class:`CachedRun` on a hit, else ``None``.
 
         Corrupt entries (bad JSON, wrong schema, checksum mismatch, missing
-        fields) are deleted and reported as a miss so the caller re-profiles
-        and overwrites them.
+        fields, any layout other than the one :meth:`store` writes) are
+        deleted and reported as a miss so the caller re-profiles and
+        overwrites them.
         """
         key = self.cache_key(source, fuel, inline, transform)
         path = self._path_for(key)
         try:
-            text = path.read_text()
+            data = path.read_bytes()
         except OSError:
             self.stats.misses += 1
             return None
         try:
-            entry = json.loads(text)
-            if entry.get("schema") != self.schema:
-                raise ValueError("schema mismatch")
-            payload = entry["payload"]
-            if entry.get("checksum") != _checksum(payload):
-                raise ValueError("checksum mismatch")
+            payload = json.loads(self._verified_payload(key, data))
             profile = profile_from_dict(payload["profile"])
             static_loops = _static_loops_from_dict(payload["static_loops"])
             output = list(payload["output"])
@@ -201,6 +197,24 @@ class ProfileStore:
             return None
         self.stats.hits += 1
         return CachedRun(profile, static_loops, output)
+
+    def _entry_prefix(self, key):
+        return '{"schema": %s, "key": %s, "payload": ' % (
+            json.dumps(self.schema), json.dumps(key))
+
+    def _verified_payload(self, key, data):
+        """The payload bytes of an entry in :meth:`store`'s layout, checked
+        against the stored checksum without re-encoding the payload; raises
+        ``ValueError`` for anything else (including another schema)."""
+        prefix = self._entry_prefix(key).encode("ascii")
+        tail = len(_CHECKSUM_FIELD) + 64 + 2
+        if (not data.startswith(prefix) or not data.endswith(b'"}')
+                or data[-tail:-66] != _CHECKSUM_FIELD):
+            raise ValueError("not a canonical entry")
+        payload = data[len(prefix):-tail]
+        if hashlib.sha256(payload).hexdigest().encode("ascii") != data[-66:-2]:
+            raise ValueError("checksum mismatch")
+        return payload
 
     # -- store ----------------------------------------------------------------
 
@@ -218,14 +232,15 @@ class ProfileStore:
         # reuse the text for both the checksum and the entry body.  json.dump
         # would stream through the pure-Python encoder; json.dumps uses the C
         # one, which is the difference between seconds and milliseconds on a
-        # multi-megabyte profile.
+        # multi-megabyte profile. The checksum covers exactly these payload
+        # bytes, so load verifies it on the raw entry before parsing.
         payload_json = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         checksum = hashlib.sha256(payload_json.encode("utf-8")).hexdigest()
-        entry_text = '{"schema": %s, "key": %s, "payload": %s, "checksum": %s}' % (
-            json.dumps(self.schema),
-            json.dumps(key),
+        entry_text = '%s%s%s%s"}' % (
+            self._entry_prefix(key),
             payload_json,
-            json.dumps(checksum),
+            _CHECKSUM_FIELD.decode("ascii"),
+            checksum,
         )
         try:
             self.root.mkdir(parents=True, exist_ok=True)
@@ -519,9 +534,8 @@ def default_code_cache():
 # -- payload helpers -----------------------------------------------------------
 
 
-def _checksum(payload):
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+#: What separates an entry's payload from its quoted sha256 hex digest.
+_CHECKSUM_FIELD = b', "checksum": "'
 
 
 def _static_loops_to_dict(loops):

@@ -1,9 +1,20 @@
 """Evaluator semantics tests: each Table-II flag changes outcomes the way
 the paper says it should, on purpose-built kernels."""
 
+import random
+
+import numpy as np
 import pytest
 
 from repro.core import LPConfig, Loopapalooza
+from repro.core.evaluator import (
+    _REASON_CODE,
+    ProfileCache,
+    _LeafColumn,
+    _model_outcome,
+    _price_column,
+)
+from repro.runtime.profile import LoopInvocation
 
 
 def speedups(lp, *config_names):
@@ -302,3 +313,71 @@ class TestInnermostOnlyMode:
             "pdoall:reduc1-dep2-fn2", innermost_only=True
         )
         assert restricted.speedup == pytest.approx(full.speedup)
+
+
+class TestLeafColumns:
+    """The column closed forms against the per-invocation model, on random
+    leaves: same cost, verdict, reason and conflict count, bit for bit."""
+
+    KEYS = ("a", "b")
+
+    def leaves(self, seed):
+        rng = random.Random(seed)
+        leaves = []
+        stamp = 0
+        for _ in range(60):
+            trips = rng.randint(1, 12)
+            inv = LoopInvocation("L", None, 0, stamp)
+            for _ in range(trips - 1):
+                stamp += rng.randint(0, 9)
+                inv.iter_starts.append(stamp)
+            stamp += rng.randint(0, 9)
+            inv.end_ts = stamp
+            if trips > 1 and rng.random() < 0.4:
+                for consumer in rng.sample(range(1, trips),
+                                           rng.randint(1, trips - 1)):
+                    inv.conflict_pairs[consumer] = rng.randrange(consumer)
+                inv.conflict_count = len(inv.conflict_pairs)
+                inv.max_mem_skew = rng.random() * 3
+            for key in self.KEYS:
+                inv.lcd_values[key] = [
+                    2 * i if rng.random() < 0.7 else rng.randint(0, 50)
+                    for i in range(trips - 1)
+                ]
+                inv.lcd_def_offsets[key] = [
+                    rng.randint(0, 6) for _ in range(rng.randint(0, trips))]
+                inv.lcd_use_offsets[key] = [
+                    rng.choice((None, rng.randint(0, 6)))
+                    for _ in range(rng.randint(0, trips))]
+            leaves.append(inv)
+        return leaves
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_column_matches_per_invocation_model(self, seed):
+        leaves = self.leaves(seed)
+        column = _LeafColumn(list(enumerate(leaves)))
+        cache = ProfileCache(None)
+        checked = 0
+        for model in ("doall", "pdoall", "helix"):
+            for dep in ((0,) if model == "doall" else (0, 1, 2, 3)):
+                for reg_keys in ((), self.KEYS[:1], self.KEYS):
+                    if dep == 0 and reg_keys:
+                        continue  # gated serial: never priced
+                    config = LPConfig(model, 0, dep, 3)
+                    lowered = dep if reg_keys and dep in (1, 2) else 0
+                    priced = _price_column(column, config, cache, reg_keys,
+                                           lowered)
+                    for i, inv in enumerate(leaves):
+                        costs = np.asarray(inv.iteration_costs(), dtype=float)
+                        expected, conflicts = _model_outcome(
+                            inv, config, cache, costs, float(np.sum(costs)),
+                            float(np.max(costs)), reg_keys,
+                        )
+                        code = (0 if expected.parallel
+                                else _REASON_CODE[expected.reason])
+                        where = f"{config.name} keys={reg_keys} leaf {i}"
+                        assert priced.cost[i] == expected.cost, where
+                        assert priced.codes[i] == code, where
+                        assert priced.nconf[i] == conflicts, where
+                        checked += 1
+        assert checked == 60 * 21

@@ -141,6 +141,26 @@ def test_checksum_mismatch_detected(source, store):
     assert store.entries(), "entry is rewritten after the fallback"
 
 
+def test_same_length_payload_flip_detected(source, store):
+    """A flipped digit keeps the entry's layout, length and JSON validity;
+    only the checksum over the raw payload bytes can catch it."""
+    cold = _fresh(source, store)
+    cold.profile()
+    [path] = store.entries()
+    data = path.read_bytes()
+    at = data.index(b'"total_cost":') + len(b'"total_cost":')
+    digit = data[at:at + 1]
+    assert digit.isdigit()
+    flipped = b"2" if digit == b"1" else b"1"
+    path.write_bytes(data[:at] + flipped + data[at + 1:])
+
+    warm = _fresh(source, store)
+    warm.profile()
+    assert not warm.profiled_from_cache
+    assert store.stats.corrupt == 1
+    assert store.entries(), "entry is rewritten after the fallback"
+
+
 def test_clear_and_info(source, store):
     cold = _fresh(source, store)
     cold.profile()
