@@ -234,10 +234,10 @@ def _cmd_cache(args, out):
 def _cache_stats(args, out, store):
     """``repro cache stats`` — both persistent caches side by side, plus
     the hit/miss tallies recorded by the most recent run."""
-    from .runtime.profile_store import CodeCache, default_code_cache_root
+    from .runtime.profile_store import CodeCache
     from .runtime.telemetry import list_runs
 
-    code_cache = CodeCache(default_code_cache_root())
+    code_cache = CodeCache()
     for label, info in (
         ("profile store", store.info()),
         ("code cache", code_cache.info()),

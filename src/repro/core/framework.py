@@ -19,6 +19,7 @@ from ..errors import FrameworkError
 from ..frontend.codegen import compile_source
 from ..interp.interpreter import Interpreter
 from ..runtime.recorder import ProfilingRuntime
+from ..settings import current
 from .config import LPConfig
 from .evaluator import ProfileCache, evaluate_config
 from .instrument import build_instrumentation
@@ -49,9 +50,7 @@ class Loopapalooza:
         #: ``REPRO_NO_JIT`` environment contract.
         self.backend = backend
         if transform is None:
-            from ..passes.pass_manager import transform_enabled
-
-            transform = transform_enabled()
+            transform = current().transform
         #: Structural-transform pipeline flag (fission/peel/fusion); part of
         #: the profile-store key because it changes the loop population.
         self.transform = bool(transform)

@@ -27,10 +27,10 @@ and after the fix the entry keeps guarding against regression.
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 import time
 
+from ..settings import current
 from .harness import run_oracles
 
 CORPUS_SCHEMA = 1
@@ -41,10 +41,7 @@ def corpus_root(override=None):
     or ``./fuzz_corpus``."""
     if override is not None:
         return pathlib.Path(override)
-    env = os.environ.get("REPRO_FUZZ_CORPUS")
-    if env:
-        return pathlib.Path(env)
-    return pathlib.Path("fuzz_corpus")
+    return pathlib.Path(current().fuzz_corpus or "fuzz_corpus")
 
 
 class QuarantineCase:

@@ -45,7 +45,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import pathlib
 
 from ..ir.instructions import (
@@ -66,6 +65,7 @@ from ..ir.instructions import (
 )
 from ..ir.printer import print_function
 from ..ir.values import ConstantFloat, ConstantInt, GlobalVariable
+from ..settings import current
 from .interpreter import (
     _alloc_zero_is_float,
     signed_div,
@@ -775,26 +775,16 @@ def generate_source(function, plan, instrumented, vectorize=False):
 # Bounded LRU (insertion order + move-to-end on hit): long-lived processes
 # compiling many modules (sweeps, fuzzing) must not grow without limit.
 _CODE_MEMO = {}  # key -> (callable, source), LRU order
-_CODE_MEMO_CAP_ENV = "REPRO_CODE_MEMO_CAP"
-_CODE_MEMO_CAP_DEFAULT = 256
+#: Entry cap of :data:`_CODE_MEMO`.
+CODE_MEMO_CAP = 256
 _CODE_MEMO_STATS = {"evictions": 0}
-
-
-def _code_memo_cap():
-    raw = os.environ.get(_CODE_MEMO_CAP_ENV)
-    if not raw:
-        return _CODE_MEMO_CAP_DEFAULT
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return _CODE_MEMO_CAP_DEFAULT
 
 
 def codegen_memo_stats():
     """Observability for ``repro cache stats``."""
     return {
         "memo_entries": len(_CODE_MEMO),
-        "memo_cap": _code_memo_cap(),
+        "memo_cap": CODE_MEMO_CAP,
         "memo_evictions": _CODE_MEMO_STATS["evictions"],
     }
 
@@ -821,7 +811,7 @@ def _base_namespace():
 
 
 def _dump_source(function, instrumented, key, source):
-    directory = os.environ.get("REPRO_JIT_DUMP")
+    directory = current().jit_dump
     if not directory:
         return
     variant = "instr" if instrumented else "plain"
@@ -884,7 +874,7 @@ def jit_entry(function, plan, instrumented, code_cache=None, vectorize=False,
     except SyntaxError as error:  # pragma: no cover - emitter bug guard
         raise CodegenUnsupported(f"generated source failed to compile: {error}")
     entry = namespace["_jit_run"]
-    while len(_CODE_MEMO) >= _code_memo_cap():
+    while len(_CODE_MEMO) >= CODE_MEMO_CAP:
         _CODE_MEMO.pop(next(iter(_CODE_MEMO)))
         _CODE_MEMO_STATS["evictions"] += 1
     _CODE_MEMO[key] = (entry, source)

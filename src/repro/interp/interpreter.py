@@ -35,7 +35,6 @@ and builds the execution profile.
 
 from __future__ import annotations
 
-import os
 import sys
 
 from ..errors import FuelExhausted, InterpError, TrapError
@@ -56,6 +55,7 @@ from ..ir.instructions import (
     Store,
 )
 from ..ir.values import ConstantFloat, ConstantInt, GlobalVariable
+from ..settings import current
 from .memory import AddressSpace
 
 _MASK32 = 0xFFFFFFFF
@@ -67,24 +67,10 @@ def _wrap32(value):
     return value - 0x100000000 if value & _SIGN32 else value
 
 
-def _truthy_env(name):
-    value = os.environ.get(name)
-    return value is not None and value.strip().lower() in (
-        "1", "true", "yes", "on"
-    )
-
-
 def backend_from_env():
-    """The default execution backend: the vector-enabled JIT (``vec``)
-    unless ``REPRO_NO_VEC`` is truthy (scalar ``jit``) or ``REPRO_NO_JIT``
-    is truthy (``closure``); ``1``/``true``/``yes`` are truthy,
-    ``0``/``false``/empty are not — same boolean-env contract as
-    ``REPRO_NO_PROFILE_CACHE``."""
-    if _truthy_env("REPRO_NO_JIT"):
-        return "closure"
-    if _truthy_env("REPRO_NO_VEC"):
-        return "jit"
-    return "vec"
+    """The default execution backend per ``REPRO_NO_JIT``/``REPRO_NO_VEC``
+    (see :attr:`repro.settings.Settings.backend`)."""
+    return current().backend
 
 
 # -- shared division semantics (both backends) ----------------------------------

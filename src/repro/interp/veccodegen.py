@@ -48,7 +48,6 @@ the affine model promised statically.
 from __future__ import annotations
 
 import math as _math
-import os as _os
 
 from ..analysis.depend import (
     DependenceAnalysis,
@@ -329,27 +328,16 @@ def _vconvf(space, base, n):
     return _np.fromiter(values, _np.float64, n)
 
 
-#: Gather-window cache bound (satellite of ISSUE 9): at most this many
-#: windows per kernel invocation; least-recently-used window is evicted.
-_WINDOW_CAP_ENV = "REPRO_VEC_WINDOW_CAP"
-_WINDOW_CAP_DEFAULT = 32
+#: Gather-window cache bound: at most this many windows per kernel
+#: invocation; the least-recently-used window is evicted.
+WINDOW_CAP = 32
 _WINDOW_STATS = {"evictions": 0}
-
-
-def _window_cap():
-    raw = _os.environ.get(_WINDOW_CAP_ENV)
-    if not raw:
-        return _WINDOW_CAP_DEFAULT
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return _WINDOW_CAP_DEFAULT
 
 
 def vec_runtime_stats():
     """In-process vector-tier cache counters (for ``repro cache stats``)."""
     return {
-        "window_cap": _window_cap(),
+        "window_cap": WINDOW_CAP,
         "window_evictions": _WINDOW_STATS["evictions"],
     }
 
@@ -384,7 +372,7 @@ def _vwindow(space, base, n, windows, convert):
             if index != len(windows) - 1:
                 windows.append(windows.pop(index))
             return arr[lo - new_lo:hi - new_lo]
-    if len(windows) >= _window_cap():
+    if len(windows) >= WINDOW_CAP:
         del windows[0]
         _WINDOW_STATS["evictions"] += 1
     arr = convert(space, lo, n)

@@ -28,7 +28,6 @@ from .pass_manager import (
     pipeline_fingerprint,
     run_standard_pipeline,
     run_transform_pipeline,
-    transform_enabled,
 )
 from .simplify_cfg import run_simplify_cfg, run_simplify_cfg_module
 
@@ -38,7 +37,6 @@ __all__ = [
     "PipelineResult",
     "is_loop_simplified",
     "pipeline_fingerprint",
-    "transform_enabled",
     "run_constfold",
     "run_constfold_module",
     "run_dce",

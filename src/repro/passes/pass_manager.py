@@ -28,11 +28,10 @@ tell apart entries produced under different pipelines.
 
 from __future__ import annotations
 
-import os
-
 from ..analysis.invalidation import invalidate_module_analyses
 from ..errors import VerificationError
 from ..ir.verifier import verify_module
+from ..settings import current
 from .constfold import run_constfold_module
 from .dce import run_dce_module
 from .gvn import run_gvn_module
@@ -75,16 +74,6 @@ class PipelineResult:
         )
 
 
-def verify_passes_forced():
-    """Is inter-pass verification forced via ``REPRO_VERIFY_PASSES``?"""
-    return os.environ.get("REPRO_VERIFY_PASSES", "0") not in ("", "0")
-
-
-def transform_enabled():
-    """Is the structural transform stage opted in via ``REPRO_TRANSFORM``?"""
-    return os.environ.get("REPRO_TRANSFORM", "0") not in ("", "0")
-
-
 def pipeline_fingerprint(transform):
     """A short stable token naming the pipeline configuration that produced
     a module. Folded into code-cache keys (see ``interp.codegen``): two
@@ -111,9 +100,10 @@ def run_standard_pipeline(module, verify_each=False, transform=None):
     ``None`` defers to the ``REPRO_TRANSFORM`` environment variable.
     """
     result = PipelineResult()
-    verify_each = verify_each or verify_passes_forced()
+    settings = current()
+    verify_each = verify_each or settings.verify_passes
     if transform is None:
-        transform = transform_enabled()
+        transform = settings.transform
 
     def checkpoint(stage):
         # Every pass just mutated the IR: any CFG/LoopInfo snapshot built
@@ -158,7 +148,7 @@ def run_transform_pipeline(module, result=None, verify_each=False):
     loops). Returns the :class:`PipelineResult` it updated."""
     if result is None:
         result = PipelineResult()
-    verify_each = verify_each or verify_passes_forced()
+    verify_each = verify_each or current().verify_passes
 
     def checkpoint(stage):
         invalidate_module_analyses(module)

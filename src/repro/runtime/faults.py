@@ -14,12 +14,14 @@ from __future__ import annotations
 import os
 import signal
 
+from ..settings import current
+
 FAULT_SENTINEL_ENV = "REPRO_SWEEP_FAULT_SENTINEL"
 
 
 def maybe_inject_fault():
     """SIGKILL this process if the sweep fault sentinel is armed."""
-    sentinel = os.environ.get(FAULT_SENTINEL_ENV)
+    sentinel = current().sweep_fault_sentinel
     if not sentinel:
         return
     if sentinel != "always":

@@ -28,6 +28,8 @@ is rewritten.
 The default location is ``~/.cache/repro/profiles`` (override with the
 ``REPRO_CACHE_DIR`` environment variable; set ``REPRO_NO_PROFILE_CACHE=1``
 to disable the default store entirely, e.g. for cold-start timing runs).
+The JIT :class:`CodeCache` shares the entry-file mechanics and lives in
+``code`` beside it (``<REPRO_CACHE_DIR>/code`` under the override).
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import os
 import pathlib
 import tempfile
 
+from ..settings import current
 from .serialize import FORMAT_VERSION, profile_from_dict, profile_to_dict
 
 #: Version of the on-disk cache payload layout (not of the profile format
@@ -52,34 +55,9 @@ def _instrumentation_version():
     return INSTRUMENTATION_VERSION
 
 
-def default_cache_root():
-    """The store directory used when none is given explicitly."""
-    override = os.environ.get("REPRO_CACHE_DIR")
-    if override:
-        return pathlib.Path(override)
-    return pathlib.Path.home() / ".cache" / "repro" / "profiles"
-
-
-#: Environment values that do NOT disable the cache. Historically any
-#: non-empty value (including "0" and "false") turned caching off.
-_FALSY_ENV = frozenset({"", "0", "false", "no", "off"})
-
-
-def cache_enabled():
-    """False when the user disabled the default cache via the environment.
-
-    ``REPRO_NO_PROFILE_CACHE`` follows the usual boolean-env contract:
-    ``1``/``true``/``yes`` (any casing) disable the cache; unset, empty,
-    ``0``, ``false``, ``no``, and ``off`` leave it enabled.
-    """
-    value = os.environ.get("REPRO_NO_PROFILE_CACHE")
-    if value is None:
-        return True
-    return value.strip().lower() in _FALSY_ENV
-
-
 class ProfileStoreStats:
-    """Hit/miss/corruption counters for one :class:`ProfileStore`."""
+    """Hit/miss/corruption counters for one :class:`ProfileStore` or
+    :class:`CodeCache`."""
 
     __slots__ = ("hits", "misses", "stores", "corrupt", "errors")
 
@@ -129,119 +107,54 @@ class CachedRun:
         self.output = output
 
 
-class ProfileStore:
-    """Content-addressed on-disk store for execution profiles.
+class _EntryStore:
+    """What the two on-disk caches share: one ``<key>.json`` file per entry
+    under ``root``, hit/miss counters, corrupt entries deleted and counted
+    as misses, and atomic publication.
 
     All methods degrade gracefully: IO or serialization failures count as
     misses/errors and never propagate — a broken cache must never break a
-    profiling run.
+    run. Subclasses own their entry layout and key function.
     """
 
-    def __init__(self, root=None, schema=None):
-        self.root = pathlib.Path(root) if root is not None else default_cache_root()
-        self.schema = PROFILE_CACHE_SCHEMA if schema is None else schema
+    #: The default root: ``~/.cache/repro/<_home_dir>``, or
+    #: ``<REPRO_CACHE_DIR>/<_cache_dir_subdir>`` when that is set.
+    _home_dir = None
+    _cache_dir_subdir = None
+
+    def __init__(self, root, schema):
+        if root is None:
+            override = current().cache_dir
+            root = (pathlib.Path(override) / self._cache_dir_subdir
+                    if override else
+                    pathlib.Path.home() / ".cache" / "repro" / self._home_dir)
+        self.root = pathlib.Path(root)
+        self.schema = schema
         self.stats = ProfileStoreStats()
-
-    # -- keys -----------------------------------------------------------------
-
-    def cache_key(self, source, fuel, inline=False, transform=False):
-        """Content hash identifying one (program, profiling setup) pair.
-
-        ``transform`` is the structural-transform pipeline flag: the same
-        source profiled with and without fission/peel/fusion yields
-        different loop populations, so the entries must never collide.
-        """
-        tag = (
-            f"{self.schema}|{FORMAT_VERSION}|{_instrumentation_version()}"
-            f"|{fuel}|{int(bool(inline))}|{int(bool(transform))}|"
-        )
-        digest = hashlib.sha256()
-        digest.update(tag.encode("utf-8"))
-        digest.update(source.encode("utf-8"))
-        return digest.hexdigest()
 
     def _path_for(self, key):
         return self.root / f"{key}.json"
 
-    # -- load -----------------------------------------------------------------
-
-    def load(self, source, fuel, inline=False, transform=False):
-        """Return a :class:`CachedRun` on a hit, else ``None``.
-
-        Corrupt entries (bad JSON, wrong schema, checksum mismatch, missing
-        fields, any layout other than the one :meth:`store` writes) are
-        deleted and reported as a miss so the caller re-profiles and
-        overwrites them.
-        """
-        key = self.cache_key(source, fuel, inline, transform)
-        path = self._path_for(key)
+    def _read(self, path):
+        """The raw entry bytes, or ``None`` (counted as a miss)."""
         try:
-            data = path.read_bytes()
+            return path.read_bytes()
         except OSError:
             self.stats.misses += 1
             return None
+
+    def _discard(self, path):
+        """Drop an unreadable entry so the caller's rewrite replaces it."""
+        self.stats.corrupt += 1
+        self.stats.misses += 1
         try:
-            payload = json.loads(self._verified_payload(key, data))
-            profile = profile_from_dict(payload["profile"])
-            static_loops = _static_loops_from_dict(payload["static_loops"])
-            output = list(payload["output"])
-        except Exception:
-            # Anything unreadable is treated as corruption: drop the entry
-            # and fall back to re-profiling.
-            self.stats.corrupt += 1
-            self.stats.misses += 1
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-        self.stats.hits += 1
-        return CachedRun(profile, static_loops, output)
+            path.unlink()
+        except OSError:
+            pass
 
-    def _entry_prefix(self, key):
-        return '{"schema": %s, "key": %s, "payload": ' % (
-            json.dumps(self.schema), json.dumps(key))
-
-    def _verified_payload(self, key, data):
-        """The payload bytes of an entry in :meth:`store`'s layout, checked
-        against the stored checksum without re-encoding the payload; raises
-        ``ValueError`` for anything else (including another schema)."""
-        prefix = self._entry_prefix(key).encode("ascii")
-        tail = len(_CHECKSUM_FIELD) + 64 + 2
-        if (not data.startswith(prefix) or not data.endswith(b'"}')
-                or data[-tail:-66] != _CHECKSUM_FIELD):
-            raise ValueError("not a canonical entry")
-        payload = data[len(prefix):-tail]
-        if hashlib.sha256(payload).hexdigest().encode("ascii") != data[-66:-2]:
-            raise ValueError("checksum mismatch")
-        return payload
-
-    # -- store ----------------------------------------------------------------
-
-    def store(self, source, fuel, profile, static_info, output, inline=False,
-              transform=False):
-        """Persist one profiling run. Failures are swallowed (and counted):
-        caching is an optimization, never a correctness dependency."""
-        key = self.cache_key(source, fuel, inline, transform)
-        payload = {
-            "profile": profile_to_dict(profile),
-            "static_loops": _static_loops_to_dict(static_info.loops),
-            "output": list(output),
-        }
-        # Serialize the (large) payload exactly once, in canonical form, and
-        # reuse the text for both the checksum and the entry body.  json.dump
-        # would stream through the pure-Python encoder; json.dumps uses the C
-        # one, which is the difference between seconds and milliseconds on a
-        # multi-megabyte profile. The checksum covers exactly these payload
-        # bytes, so load verifies it on the raw entry before parsing.
-        payload_json = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        checksum = hashlib.sha256(payload_json.encode("utf-8")).hexdigest()
-        entry_text = '%s%s%s%s"}' % (
-            self._entry_prefix(key),
-            payload_json,
-            _CHECKSUM_FIELD.decode("ascii"),
-            checksum,
-        )
+    def _publish(self, key, text):
+        """Write one entry; failures are swallowed and counted (caching is
+        never a correctness dependency)."""
         try:
             self.root.mkdir(parents=True, exist_ok=True)
             # Atomic publish: concurrent sweep workers may store the same
@@ -251,7 +164,7 @@ class ProfileStore:
             )
             try:
                 with os.fdopen(fd, "w") as handle:
-                    handle.write(entry_text)
+                    handle.write(text)
                 os.replace(tmp_name, self._path_for(key))
             except BaseException:
                 try:
@@ -268,7 +181,7 @@ class ProfileStore:
     # -- maintenance -----------------------------------------------------------
 
     def entries(self):
-        """Paths of all cache entries currently on disk."""
+        """Paths of all entries currently on disk."""
         try:
             return sorted(self.root.glob("*.json"))
         except OSError:
@@ -295,18 +208,110 @@ class ProfileStore:
         return removed
 
     def info(self):
-        """Human-oriented summary used by ``repro cache info``."""
-        entries = self.entries()
+        """Human-oriented summary used by ``repro cache info``/``stats``."""
         return {
             "root": str(self.root),
-            "entries": len(entries),
+            "entries": len(self.entries()),
             "size_bytes": self.size_bytes(),
             "schema": self.schema,
             **self.stats.as_dict(),
         }
 
     def __repr__(self):
-        return f"<ProfileStore {self.root} ({len(self.entries())} entries)>"
+        return (f"<{type(self).__name__} {self.root} "
+                f"({len(self.entries())} entries)>")
+
+
+class ProfileStore(_EntryStore):
+    """Content-addressed on-disk store for execution profiles."""
+
+    _home_dir = "profiles"
+    _cache_dir_subdir = ""
+
+    def __init__(self, root=None, schema=None):
+        super().__init__(root, PROFILE_CACHE_SCHEMA if schema is None else schema)
+
+    def cache_key(self, source, fuel, inline=False, transform=False):
+        """Content hash identifying one (program, profiling setup) pair.
+
+        ``transform`` is the structural-transform pipeline flag: the same
+        source profiled with and without fission/peel/fusion yields
+        different loop populations, so the entries must never collide.
+        """
+        tag = (
+            f"{self.schema}|{FORMAT_VERSION}|{_instrumentation_version()}"
+            f"|{fuel}|{int(bool(inline))}|{int(bool(transform))}|"
+        )
+        digest = hashlib.sha256()
+        digest.update(tag.encode("utf-8"))
+        digest.update(source.encode("utf-8"))
+        return digest.hexdigest()
+
+    def load(self, source, fuel, inline=False, transform=False):
+        """Return a :class:`CachedRun` on a hit, else ``None``.
+
+        Corrupt entries (bad JSON, wrong schema, checksum mismatch, missing
+        fields, any layout other than the one :meth:`store` writes) are
+        deleted and reported as a miss so the caller re-profiles and
+        overwrites them.
+        """
+        key = self.cache_key(source, fuel, inline, transform)
+        path = self._path_for(key)
+        data = self._read(path)
+        if data is None:
+            return None
+        try:
+            payload = json.loads(self._verified_payload(key, data))
+            profile = profile_from_dict(payload["profile"])
+            static_loops = _static_loops_from_dict(payload["static_loops"])
+            output = list(payload["output"])
+        except Exception:
+            self._discard(path)
+            return None
+        self.stats.hits += 1
+        return CachedRun(profile, static_loops, output)
+
+    def _entry_prefix(self, key):
+        return '{"schema": %s, "key": %s, "payload": ' % (
+            json.dumps(self.schema), json.dumps(key))
+
+    def _verified_payload(self, key, data):
+        """The payload bytes of an entry in :meth:`store`'s layout, checked
+        against the stored checksum without re-encoding the payload; raises
+        ``ValueError`` for anything else (including another schema)."""
+        prefix = self._entry_prefix(key).encode("ascii")
+        tail = len(_CHECKSUM_FIELD) + 64 + 2
+        if (not data.startswith(prefix) or not data.endswith(b'"}')
+                or data[-tail:-66] != _CHECKSUM_FIELD):
+            raise ValueError("not a canonical entry")
+        payload = data[len(prefix):-tail]
+        if hashlib.sha256(payload).hexdigest().encode("ascii") != data[-66:-2]:
+            raise ValueError("checksum mismatch")
+        return payload
+
+    def store(self, source, fuel, profile, static_info, output, inline=False,
+              transform=False):
+        """Persist one profiling run; returns whether it was written."""
+        key = self.cache_key(source, fuel, inline, transform)
+        payload = {
+            "profile": profile_to_dict(profile),
+            "static_loops": _static_loops_to_dict(static_info.loops),
+            "output": list(output),
+        }
+        # Serialize the (large) payload exactly once, in canonical form, and
+        # reuse the text for both the checksum and the entry body.  json.dump
+        # would stream through the pure-Python encoder; json.dumps uses the C
+        # one, which is the difference between seconds and milliseconds on a
+        # multi-megabyte profile. The checksum covers exactly these payload
+        # bytes, so load verifies it on the raw entry before parsing.
+        payload_json = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        checksum = hashlib.sha256(payload_json.encode("utf-8")).hexdigest()
+        return self._publish(key, '%s%s%s%s"}' % (
+            self._entry_prefix(key),
+            payload_json,
+            _CHECKSUM_FIELD.decode("ascii"),
+            checksum,
+        ))
 
 
 _DEFAULT_STORE = None
@@ -316,7 +321,7 @@ def default_store():
     """Process-wide shared store at the default location, or ``None`` when
     disabled via ``REPRO_NO_PROFILE_CACHE``."""
     global _DEFAULT_STORE
-    if not cache_enabled():
+    if current().no_profile_cache:
         return None
     if _DEFAULT_STORE is None:
         _DEFAULT_STORE = ProfileStore()
@@ -330,69 +335,38 @@ def default_store():
 #: (part of the entry key).
 CODE_CACHE_SCHEMA = 1
 
-
-def default_code_cache_root():
-    """Where cached JIT sources live: ``<REPRO_CACHE_DIR>/code`` when the
-    override is set, else ``~/.cache/repro/code`` (a sibling of the
-    profile store)."""
-    override = os.environ.get("REPRO_CACHE_DIR")
-    if override:
-        return pathlib.Path(override) / "code"
-    return pathlib.Path.home() / ".cache" / "repro" / "code"
-
-
 #: Entry cap for the on-disk code cache (oldest-access eviction). Sized so
 #: a full bundled-suite sweep (48 programs x 2 variants x a few tiers) fits
 #: with headroom; long-lived fuzzing hosts stay bounded.
-CODE_CACHE_CAP_ENV = "REPRO_CODE_CACHE_CAP"
-CODE_CACHE_CAP_DEFAULT = 1024
+CODE_CACHE_CAP = 1024
 
 
-def code_cache_cap():
-    raw = os.environ.get(CODE_CACHE_CAP_ENV)
-    if not raw:
-        return CODE_CACHE_CAP_DEFAULT
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return CODE_CACHE_CAP_DEFAULT
-
-
-class CodeCache:
+class CodeCache(_EntryStore):
     """Content-addressed on-disk store for JIT-generated Python sources.
 
     Keys come from :func:`repro.interp.codegen.jit_cache_key` (IR text +
     plan + codegen version), so a warm sweep skips source generation
-    entirely and goes straight to ``compile()``. Same degradation contract
-    as :class:`ProfileStore`: IO failures count as misses/errors and never
-    propagate.
+    entirely and goes straight to ``compile()``. Bounded: beyond ``cap``
+    entries the least recently used (oldest mtime) are evicted.
     """
 
-    def __init__(self, root=None, schema=None, cap=None):
-        self.root = (
-            pathlib.Path(root) if root is not None else default_code_cache_root()
-        )
-        self.schema = CODE_CACHE_SCHEMA if schema is None else schema
-        self.stats = ProfileStoreStats()
-        #: Entry cap (LRU by file mtime); ``None`` re-reads the env var at
-        #: every store so tests and long-lived hosts can tune it live.
-        self._cap = cap
-        self.evictions = 0
+    _home_dir = "code"
+    _cache_dir_subdir = "code"
 
-    def _path_for(self, key):
-        return self.root / f"{key}.json"
+    def __init__(self, root=None, schema=None, cap=None):
+        super().__init__(root, CODE_CACHE_SCHEMA if schema is None else schema)
+        self.cap = CODE_CACHE_CAP if cap is None else cap
+        self.evictions = 0
 
     def load(self, key):
         """The cached source for ``key``, or ``None``. Corrupt entries are
         deleted and counted, then reported as a miss."""
         path = self._path_for(key)
-        try:
-            text = path.read_text()
-        except OSError:
-            self.stats.misses += 1
+        data = self._read(path)
+        if data is None:
             return None
         try:
-            entry = json.loads(text)
+            entry = json.loads(data)
             if entry.get("schema") != self.schema:
                 raise ValueError("schema mismatch")
             source = entry["source"]
@@ -402,12 +376,7 @@ class CodeCache:
             if entry.get("checksum") != checksum:
                 raise ValueError("checksum mismatch")
         except Exception:
-            self.stats.corrupt += 1
-            self.stats.misses += 1
-            try:
-                path.unlink()
-            except OSError:
-                pass
+            self._discard(path)
             return None
         self.stats.hits += 1
         try:
@@ -417,8 +386,7 @@ class CodeCache:
         return source
 
     def store(self, key, source, meta=None):
-        """Persist one generated source; failures are swallowed and
-        counted (caching is never a correctness dependency)."""
+        """Persist one generated source; returns whether it was written."""
         entry = {
             "schema": self.schema,
             "key": key,
@@ -426,38 +394,17 @@ class CodeCache:
             "checksum": hashlib.sha256(source.encode("utf-8")).hexdigest(),
             "meta": dict(meta) if meta else {},
         }
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(
-                dir=self.root, prefix=".tmp-", suffix=".json"
-            )
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    handle.write(json.dumps(entry))
-                os.replace(tmp_name, self._path_for(key))
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
-        except Exception:
-            self.stats.errors += 1
+        if not self._publish(key, json.dumps(entry)):
             return False
-        self.stats.stores += 1
         self._evict_to_cap()
         return True
-
-    def cap(self):
-        return self._cap if self._cap is not None else code_cache_cap()
 
     def _evict_to_cap(self):
         """Drop least-recently-used entries until the cap holds. Races
         with concurrent processes are benign: eviction of an entry another
         process is about to read just costs that process a miss."""
-        cap = self.cap()
         entries = self.entries()
-        if len(entries) <= cap:
+        if len(entries) <= self.cap:
             return
         by_age = []
         for path in entries:
@@ -466,53 +413,16 @@ class CodeCache:
             except OSError:
                 pass
         by_age.sort()
-        for _, _, path in by_age[: max(0, len(by_age) - cap)]:
+        for _, _, path in by_age[: max(0, len(by_age) - self.cap)]:
             try:
                 path.unlink()
                 self.evictions += 1
             except OSError:
                 pass
 
-    def entries(self):
-        try:
-            return sorted(self.root.glob("*.json"))
-        except OSError:
-            return []
-
-    def size_bytes(self):
-        total = 0
-        for path in self.entries():
-            try:
-                total += path.stat().st_size
-            except OSError:
-                pass
-        return total
-
-    def clear(self):
-        removed = 0
-        for path in self.entries():
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
-
     def info(self):
-        """Human-oriented summary used by ``repro cache info``/``stats``."""
-        entries = self.entries()
-        return {
-            "root": str(self.root),
-            "entries": len(entries),
-            "size_bytes": self.size_bytes(),
-            "schema": self.schema,
-            "cap": self.cap(),
-            "evictions": self.evictions,
-            **self.stats.as_dict(),
-        }
-
-    def __repr__(self):
-        return f"<CodeCache {self.root} ({len(self.entries())} entries)>"
+        return {**super().info(), "cap": self.cap,
+                "evictions": self.evictions}
 
 
 _DEFAULT_CODE_CACHE = None
@@ -524,7 +434,7 @@ def default_code_cache():
     profile store and the code cache, so cold-start timing runs stay
     cold)."""
     global _DEFAULT_CODE_CACHE
-    if not cache_enabled():
+    if current().no_profile_cache:
         return None
     if _DEFAULT_CODE_CACHE is None:
         _DEFAULT_CODE_CACHE = CodeCache()

@@ -18,8 +18,9 @@ a :class:`RunTelemetry`. Each run owns a directory under the runs root
     Aggregate view, rewritten after every event: task tallies (done /
     resumed / quarantined), retry count, profile-cache hits and misses,
     total interpreter instructions profiled, cumulative task wall time,
-    and the model-outcome tally (parallel vs serial loop summaries across
-    every recorded result). ``repro runs`` renders this file.
+    the model-outcome tally (parallel vs serial loop summaries across
+    every recorded result), and the ``REPRO_*`` settings
+    (:func:`repro.settings.current`). ``repro runs`` renders this file.
 
 Resume semantics: :meth:`RunTelemetry.resume` replays the ledger; a task
 whose recorded configurations cover the request is served from the ledger
@@ -40,6 +41,8 @@ import shutil
 import time
 import uuid
 
+from ..settings import current
+
 #: Version of the ledger/manifest layout. Bumping it orphans old runs (they
 #: remain listable but are refused for resume).
 RUN_LEDGER_SCHEMA = 1
@@ -50,7 +53,7 @@ MANIFEST_NAME = "manifest.json"
 
 def runs_root():
     """The runs directory used when none is given explicitly."""
-    override = os.environ.get("REPRO_RUNS_DIR")
+    override = current().runs_dir
     if override:
         return pathlib.Path(override)
     return pathlib.Path.home() / ".cache" / "repro" / "runs"
@@ -101,6 +104,8 @@ class RunTelemetry:
         self._vec_decisions = {}
         self._fuzz = {"cases": 0, "quarantined": 0, "by_oracle": {},
                       "wall_s": 0.0}
+        #: The ``REPRO_*`` settings of the process that last opened the run.
+        self._settings = current().to_dict()
         if _replay:
             self._replay_ledger()
 
@@ -378,6 +383,7 @@ class RunTelemetry:
             "outcomes": dict(self._outcomes),
             "cache_stats": dict(self._cache_stats),
             "vec_decisions": dict(self._vec_decisions),
+            "settings": dict(self._settings),
             "fuzz": {
                 "cases": self._fuzz["cases"],
                 "quarantined": self._fuzz["quarantined"],
@@ -537,6 +543,10 @@ def format_run_summary(manifest):
             bailouts.items(), key=lambda item: (-item[1], item[0])
         ):
             lines.append(f"    bailout {reason}: {count}")
+    settings = manifest.get("settings")
+    if settings:
+        lines.append("  settings:     " + ", ".join(
+            f"{name}={value}" for name, value in settings.items()))
     fuzz = manifest.get("fuzz") or {}
     if fuzz.get("cases"):
         lines.append(

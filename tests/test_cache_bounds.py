@@ -4,13 +4,14 @@ A long-lived host (sweep driver, fuzz campaign, REPL) must not grow
 memory or disk without bound, so every cache on the compile/execute path
 is LRU-capped and counts its evictions:
 
-* the persistent on-disk :class:`CodeCache` (``REPRO_CODE_CACHE_CAP``,
+* the persistent on-disk :class:`CodeCache` (``CODE_CACHE_CAP``,
   mtime-LRU, touched on every hit),
-* the in-process codegen memo (``REPRO_CODE_MEMO_CAP``), and
+* the in-process codegen memo (``codegen.CODE_MEMO_CAP``), and
 * the per-invocation gather-window cache in the vector runtime
-  (``REPRO_VEC_WINDOW_CAP``).
+  (``veccodegen.WINDOW_CAP``).
 
-All three surface in ``repro cache stats``.
+All three surface in ``repro cache stats``. The caps are module
+constants; these tests shrink them with ``monkeypatch.setattr``.
 """
 
 from __future__ import annotations
@@ -18,14 +19,12 @@ from __future__ import annotations
 import os
 
 from repro.frontend.codegen import compile_source
+from repro.interp import codegen, veccodegen
 from repro.interp.codegen import codegen_memo_stats
 from repro.interp.interpreter import Interpreter
 from repro.interp.veccodegen import vec_runtime_stats
-from repro.runtime.profile_store import (
-    CODE_CACHE_CAP_DEFAULT,
-    CodeCache,
-    code_cache_cap,
-)
+from repro.runtime import profile_store
+from repro.runtime.profile_store import CodeCache
 
 
 def _stamp(cache, key, mtime):
@@ -60,12 +59,11 @@ def test_code_cache_hit_refreshes_lru_rank(tmp_path):
     assert cache.evictions == 1
 
 
-def test_code_cache_cap_env(tmp_path, monkeypatch):
-    assert code_cache_cap() == CODE_CACHE_CAP_DEFAULT
-    monkeypatch.setenv("REPRO_CODE_CACHE_CAP", "5")
-    assert code_cache_cap() == 5
-    cache = CodeCache(root=tmp_path)  # cap=None re-reads the env live
-    assert cache.cap() == 5
+def test_code_cache_cap_default(tmp_path, monkeypatch):
+    assert CodeCache(root=tmp_path).cap == 1024
+    monkeypatch.setattr(profile_store, "CODE_CACHE_CAP", 5)
+    cache = CodeCache(root=tmp_path)  # cap=None takes the module constant
+    assert cache.cap == 5
     assert cache.info()["cap"] == 5
 
 
@@ -86,7 +84,7 @@ def _run_jit(source):
 
 
 def test_codegen_memo_respects_cap(monkeypatch):
-    monkeypatch.setenv("REPRO_CODE_MEMO_CAP", "2")
+    monkeypatch.setattr(codegen, "CODE_MEMO_CAP", 2)
     # One switch governs the profile store and the disk code cache; kill
     # both so this exercises the in-process memo only.
     monkeypatch.setenv("REPRO_NO_PROFILE_CACHE", "1")
@@ -120,7 +118,7 @@ def test_vec_gather_window_cap_evicts(monkeypatch):
     """With the window cache capped at one entry, a kernel gathering two
     non-adjacent arrays must evict between them (and still be correct —
     eviction only costs a re-conversion)."""
-    monkeypatch.setenv("REPRO_VEC_WINDOW_CAP", "1")
+    monkeypatch.setattr(veccodegen, "WINDOW_CAP", 1)
     before = vec_runtime_stats()["window_evictions"]
     machine = Interpreter(compile_source(VEC_TWO_ARRAY_SOURCE),
                           backend="vec")

@@ -188,6 +188,32 @@ def test_innermost_only_never_beats_nested(grid):
             )
 
 
+def test_speedup_bounded_by_slowest_iteration(runner, grid):
+    """No schedule finishes an invocation before its slowest iteration: a
+    loop whose invocations are all leaves (no nested child invocation to
+    subtract) costs at least the sum over its invocations of their slowest
+    raw iteration, i.e. speedup <= serial / slowest iteration."""
+    checked = 0
+    for name, lp in grid_programs(runner).items():
+        floors, nested = {}, set()
+        for inv in lp.profile().all_invocations():
+            if inv.children:
+                nested.add(inv.loop_id)
+            floors[inv.loop_id] = (floors.get(inv.loop_id, 0)
+                                   + max(inv.iteration_costs()))
+        for (config_name, innermost), result in grid[name].items():
+            for loop_id, summary in result.loops.items():
+                if loop_id in nested:
+                    continue
+                checked += 1
+                assert summary.parallel_cost >= floors[loop_id], (
+                    f"{name}: {config_name} (innermost_only={innermost}) "
+                    f"{loop_id} parallel cost {summary.parallel_cost!r} < "
+                    f"slowest-iteration floor {floors[loop_id]}"
+                )
+    assert checked > 0
+
+
 def _write():
     from repro.bench.suites import SuiteRunner
 

@@ -445,16 +445,15 @@ class TestForcedVerification:
     every pipeline stage, and failures name the stage that broke the IR."""
 
     def test_env_flag_parsing(self, monkeypatch):
-        from repro.passes.pass_manager import verify_passes_forced
+        from repro.settings import current
 
         monkeypatch.delenv("REPRO_VERIFY_PASSES", raising=False)
-        assert not verify_passes_forced()
-        monkeypatch.setenv("REPRO_VERIFY_PASSES", "0")
-        assert not verify_passes_forced()
-        monkeypatch.setenv("REPRO_VERIFY_PASSES", "")
-        assert not verify_passes_forced()
+        assert not current().verify_passes
+        for value in ("0", "", "off", "false"):
+            monkeypatch.setenv("REPRO_VERIFY_PASSES", value)
+            assert not current().verify_passes
         monkeypatch.setenv("REPRO_VERIFY_PASSES", "1")
-        assert verify_passes_forced()
+        assert current().verify_passes
 
     def test_checkpoint_attributes_the_stage(self):
         from repro.errors import VerificationError

@@ -8,6 +8,7 @@ degrades to re-profiling, never to wrong numbers.
 """
 
 import json
+import multiprocessing
 
 import pytest
 
@@ -16,10 +17,12 @@ from repro.core.config import paper_configurations
 from repro.core.framework import Loopapalooza
 from repro.runtime.profile_store import (
     PROFILE_CACHE_SCHEMA,
+    CodeCache,
     ProfileStore,
-    cache_enabled,
-    default_cache_root,
+    default_code_cache,
+    default_store,
 )
+from repro.runtime.serialize import profile_to_dict
 
 FUEL = 50_000_000
 BENCH = "specint2000/gzip_like"
@@ -173,23 +176,103 @@ def test_clear_and_info(source, store):
 
 def test_default_root_override(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "elsewhere"))
-    assert default_cache_root() == tmp_path / "elsewhere"
+    assert ProfileStore().root == tmp_path / "elsewhere"
+    assert CodeCache().root == tmp_path / "elsewhere" / "code"
 
 
 class TestCacheEnabledEnv:
     """Regression: REPRO_NO_PROFILE_CACHE=0 used to *disable* the cache
-    because any non-empty value was treated as truthy."""
+    because any non-empty value was treated as truthy. One switch governs
+    both default caches; the spelling contract itself is tested in
+    ``tests/test_settings.py``."""
+
+    @staticmethod
+    def _enabled():
+        profiles, code = default_store(), default_code_cache()
+        assert (profiles is None) == (code is None)
+        return profiles is not None
 
     def test_unset_means_enabled(self, monkeypatch):
         monkeypatch.delenv("REPRO_NO_PROFILE_CACHE", raising=False)
-        assert cache_enabled()
+        assert self._enabled()
 
     @pytest.mark.parametrize("value", ["", "0", "false", "False", "no", "off", " 0 ", "OFF"])
     def test_falsy_values_keep_cache_enabled(self, monkeypatch, value):
         monkeypatch.setenv("REPRO_NO_PROFILE_CACHE", value)
-        assert cache_enabled()
+        assert self._enabled()
 
-    @pytest.mark.parametrize("value", ["1", "true", "TRUE", "yes", "on", "anything"])
+    @pytest.mark.parametrize("value", ["1", "true", "TRUE", "yes", "on"])
     def test_truthy_values_disable_cache(self, monkeypatch, value):
         monkeypatch.setenv("REPRO_NO_PROFILE_CACHE", value)
-        assert not cache_enabled()
+        assert not self._enabled()
+
+
+# -- concurrent writers ---------------------------------------------------------
+
+SMALL_SOURCE = """
+int A[64];
+int main() { int i; int s; s = 0;
+  for (i = 0; i < 64; i = i + 1) { A[i] = i * 3; }
+  for (i = 1; i < 64; i = i + 1) { A[i] = A[i - 1] + A[i]; s = s + A[i]; }
+  return s & 255; }
+"""
+ROUNDS = 40
+
+
+def _small_run():
+    lp = Loopapalooza(SMALL_SOURCE, name="concurrent", fuel=FUEL)
+    lp.profile()
+    return lp
+
+
+def _writer(root, start):
+    lp = _small_run()
+    store = ProfileStore(root)
+    start.wait()
+    for _ in range(ROUNDS):
+        store.store(SMALL_SOURCE, FUEL, lp.profile(), lp.static_info,
+                    lp.output)
+    assert store.stats.errors == 0
+
+
+def _reader(root, expected, start, results):
+    store = ProfileStore(root)
+    start.wait()
+    outcomes = []
+    for _ in range(ROUNDS):
+        cached = store.load(SMALL_SOURCE, FUEL)
+        outcomes.append(
+            "miss" if cached is None
+            else "hit" if profile_to_dict(cached.profile) == expected
+            else "wrong")
+    outcomes.append(f"corrupt={store.stats.corrupt}")
+    results.put(outcomes)
+
+
+def test_concurrent_writers_and_reader(tmp_path):
+    """Two processes store the same key into one tree while a third loads:
+    the atomic publish must show the reader old-or-new, never a torn entry,
+    and leave no temporary file behind."""
+    lp = _small_run()
+    root = tmp_path / "profiles"
+    ProfileStore(root).store(SMALL_SOURCE, FUEL, lp.profile(), lp.static_info,
+                             lp.output)
+    context = multiprocessing.get_context("spawn")
+    start = context.Barrier(3)
+    results = context.Queue()
+    workers = [context.Process(target=_writer, args=(root, start))
+               for _ in range(2)]
+    workers.append(context.Process(
+        target=_reader,
+        args=(root, profile_to_dict(lp.profile()), start, results)))
+    for worker in workers:
+        worker.start()
+    outcomes = results.get(timeout=120)
+    for worker in workers:
+        worker.join(timeout=120)
+        assert worker.exitcode == 0
+    assert outcomes[-1] == "corrupt=0"
+    assert set(outcomes[:-1]) <= {"hit", "miss"}
+    assert "hit" in outcomes
+    assert sorted(p.name for p in root.iterdir()) == [
+        f"{ProfileStore(root).cache_key(SMALL_SOURCE, FUEL)}.json"]

@@ -226,3 +226,46 @@ def test_run_with_removed_par_stats_event_still_loads(tmp_path, grid_results):
     assert resumed.completed_results(task, list(CONFIGS)) is not None
     assert "par_stats" not in resumed.summary()
     assert "7 profiled" in show()
+
+
+def _show(run_id, root):
+    import io
+
+    from repro.cli import main
+
+    out = io.StringIO()
+    assert main(["runs", "show", run_id, "--runs-dir", str(root)],
+                out=out) == 0
+    return out.getvalue()
+
+
+def test_manifest_records_settings(monkeypatch, tmp_path):
+    monkeypatch.setenv("REPRO_TRANSFORM", "yes")
+    monkeypatch.setenv("REPRO_NO_VEC", "1")
+    telemetry = RunTelemetry.create(root=tmp_path)
+    telemetry.finish()
+    settings = load_manifest(telemetry.run_id, root=tmp_path)["settings"]
+    assert settings["transform"] is True and settings["no_vec"] is True
+    assert settings["no_jit"] is False
+    [line] = [line for line in _show(telemetry.run_id, tmp_path).splitlines()
+              if line.strip().startswith("settings:")]
+    assert "transform=True" in line and "no_vec=True" in line
+
+
+def test_manifest_without_settings_still_renders(tmp_path, grid_results):
+    """Manifests written before settings were recorded lack the key."""
+    telemetry = RunTelemetry.create(root=tmp_path)
+    task, results = next(iter(grid_results.items()))
+    telemetry.task_done(task, results, instructions=7)
+    telemetry.finish()
+    manifest = json.loads(telemetry.manifest_path.read_text())
+    del manifest["settings"]
+    telemetry.manifest_path.write_text(json.dumps(manifest, indent=1))
+
+    text = _show(telemetry.run_id, tmp_path)
+    assert f"run {telemetry.run_id} [complete]" in text
+    assert "7 profiled" in text
+    assert "settings:" not in text
+    assert [m["run_id"] for m in list_runs(root=tmp_path)] == [telemetry.run_id]
+    resumed = RunTelemetry.resume(telemetry.run_id, root=tmp_path)
+    assert resumed.completed_results(task, list(CONFIGS)) is not None

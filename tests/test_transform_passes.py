@@ -37,7 +37,6 @@ from repro.passes import (
     pipeline_fingerprint,
     run_loop_fusion_module,
     run_transform_pipeline,
-    transform_enabled,
 )
 
 FISSION_SRC = """
@@ -222,12 +221,15 @@ class TestPipelineFingerprint:
         assert transformed.pipeline_fingerprint == pipeline_fingerprint(True)
 
     def test_transform_enabled_reads_environment(self, monkeypatch):
+        def fingerprint():
+            return compile_source(FUSION_SRC).pipeline_fingerprint
+
         monkeypatch.delenv("REPRO_TRANSFORM", raising=False)
-        assert transform_enabled() is False
+        assert fingerprint() == pipeline_fingerprint(False)
         monkeypatch.setenv("REPRO_TRANSFORM", "1")
-        assert transform_enabled() is True
-        monkeypatch.setenv("REPRO_TRANSFORM", "0")
-        assert transform_enabled() is False
+        assert fingerprint() == pipeline_fingerprint(True)
+        monkeypatch.setenv("REPRO_TRANSFORM", "false")
+        assert fingerprint() == pipeline_fingerprint(False)
 
 
 class TestStaleAnalysisGuard:
