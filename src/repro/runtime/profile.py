@@ -56,6 +56,29 @@ class LoopInvocation:
         self.children = []
         self.exited = False
 
+    @classmethod
+    def decoded(cls, loop_id, parent, parent_iter, iter_starts, end_ts,
+                conflict_pairs, max_mem_skew, conflict_count, lcd_values,
+                lcd_def_offsets, lcd_use_offsets, exited):
+        """An invocation whose every field is already known (a decoded
+        profile), without the placeholder containers ``__init__`` builds
+        for recording; ``children`` starts empty."""
+        self = cls.__new__(cls)
+        self.loop_id = loop_id
+        self.parent = parent
+        self.parent_iter = parent_iter
+        self.iter_starts = iter_starts
+        self.end_ts = end_ts
+        self.conflict_pairs = conflict_pairs
+        self.max_mem_skew = max_mem_skew
+        self.conflict_count = conflict_count
+        self.lcd_values = lcd_values
+        self.lcd_def_offsets = lcd_def_offsets
+        self.lcd_use_offsets = lcd_use_offsets
+        self.children = []
+        self.exited = exited
+        return self
+
     # -- derived quantities -------------------------------------------------------
 
     @property

@@ -18,35 +18,46 @@ other two versions live with the code they describe:
 ``repro.runtime.serialize.FORMAT_VERSION`` and
 ``repro.core.instrument.INSTRUMENTATION_VERSION``).
 
-Entries are single JSON files named ``<key>.json`` holding the serialized
-:class:`~repro.runtime.profile.ProgramProfile`, the static loop
-classification, the program output, and a payload checksum. Corruption
-(truncated writes, bit rot, schema drift) is detected on load and the
-entry is discarded — the caller falls back to re-profiling and the entry
-is rewritten.
+Profile entries are binary files named ``<key>.prof``: one ASCII line
+``repro-profile <schema> <key> <payload length>``, the payload, then the
+sha256 hex digest of the payload. The payload is
+:func:`~repro.runtime.serialize.pack_profile` output, whose JSON header
+also carries the static loop classification and the program output. The
+line and the checksum are verified on the raw bytes before anything is
+decoded. Corruption (truncated writes, bit rot, schema drift) is detected
+on load, logged as a warning on the ``repro.runtime.profile_store`` logger
+and the entry is discarded — the caller falls back to re-profiling and the
+entry is rewritten.
 
 The default location is ``~/.cache/repro/profiles`` (override with the
 ``REPRO_CACHE_DIR`` environment variable; set ``REPRO_NO_PROFILE_CACHE=1``
 to disable the default store entirely, e.g. for cold-start timing runs).
-The JIT :class:`CodeCache` shares the entry-file mechanics and lives in
-``code`` beside it (``<REPRO_CACHE_DIR>/code`` under the override).
+The JIT :class:`CodeCache` shares the entry-file mechanics (its entries
+are ``<key>.json``) and lives in ``code`` beside it
+(``<REPRO_CACHE_DIR>/code`` under the override).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
 import pathlib
 import tempfile
 
 from ..settings import current
-from .serialize import FORMAT_VERSION, profile_from_dict, profile_to_dict
+from .serialize import FORMAT_VERSION, pack_profile, unpack_profile_with_extra
 
 #: Version of the on-disk cache payload layout (not of the profile format
 #: itself — that is ``serialize.FORMAT_VERSION``). Bumping this invalidates
 #: every existing cache entry.
-PROFILE_CACHE_SCHEMA = 1
+PROFILE_CACHE_SCHEMA = 2
+
+_log = logging.getLogger(__name__)
+
+#: Name prefix of a writer's temporary file; never an entry.
+_TEMP_PREFIX = ".tmp-"
 
 
 def _instrumentation_version():
@@ -108,19 +119,22 @@ class CachedRun:
 
 
 class _EntryStore:
-    """What the two on-disk caches share: one ``<key>.json`` file per entry
-    under ``root``, hit/miss counters, corrupt entries deleted and counted
-    as misses, and atomic publication.
+    """What the two on-disk caches share: one ``<key><suffix>`` file per
+    entry under ``root``, hit/miss counters, corrupt entries deleted and
+    counted as misses, and atomic publication.
 
     All methods degrade gracefully: IO or serialization failures count as
-    misses/errors and never propagate — a broken cache must never break a
-    run. Subclasses own their entry layout and key function.
+    misses/errors, are logged as one warning each, and never propagate — a
+    broken cache must never break a run. Subclasses own their entry layout,
+    file suffix and key function.
     """
 
     #: The default root: ``~/.cache/repro/<_home_dir>``, or
     #: ``<REPRO_CACHE_DIR>/<_cache_dir_subdir>`` when that is set.
     _home_dir = None
     _cache_dir_subdir = None
+    #: File-name suffix of an entry.
+    _suffix = None
 
     def __init__(self, root, schema):
         if root is None:
@@ -133,18 +147,22 @@ class _EntryStore:
         self.stats = ProfileStoreStats()
 
     def _path_for(self, key):
-        return self.root / f"{key}.json"
+        return self.root / f"{key}{self._suffix}"
 
     def _read(self, path):
         """The raw entry bytes, or ``None`` (counted as a miss)."""
         try:
             return path.read_bytes()
-        except OSError:
-            self.stats.misses += 1
-            return None
+        except FileNotFoundError:
+            pass
+        except OSError as exc:
+            _log.warning("cannot read cache entry %s: %s", path, exc)
+        self.stats.misses += 1
+        return None
 
-    def _discard(self, path):
+    def _discard(self, path, reason):
         """Drop an unreadable entry so the caller's rewrite replaces it."""
+        _log.warning("discarding cache entry %s: %s", path, reason)
         self.stats.corrupt += 1
         self.stats.misses += 1
         try:
@@ -152,19 +170,25 @@ class _EntryStore:
         except OSError:
             pass
 
-    def _publish(self, key, text):
-        """Write one entry; failures are swallowed and counted (caching is
-        never a correctness dependency)."""
+    def _write_failed(self, key, reason):
+        _log.warning("cannot write cache entry %s: %s", self._path_for(key),
+                     reason)
+        self.stats.errors += 1
+        return False
+
+    def _publish(self, key, data):
+        """Write one entry's bytes; failures are logged and counted, never
+        raised (caching is never a correctness dependency)."""
         try:
             self.root.mkdir(parents=True, exist_ok=True)
             # Atomic publish: concurrent sweep workers may store the same
             # entry; the rename makes readers see old-or-new, never partial.
             fd, tmp_name = tempfile.mkstemp(
-                dir=self.root, prefix=".tmp-", suffix=".json"
+                dir=self.root, prefix=_TEMP_PREFIX, suffix=self._suffix
             )
             try:
-                with os.fdopen(fd, "w") as handle:
-                    handle.write(text)
+                with os.fdopen(fd, "wb") as handle:
+                    handle.write(data)
                 os.replace(tmp_name, self._path_for(key))
             except BaseException:
                 try:
@@ -172,18 +196,19 @@ class _EntryStore:
                 except OSError:
                     pass
                 raise
-        except Exception:
-            self.stats.errors += 1
-            return False
+        except Exception as exc:
+            return self._write_failed(key, exc)
         self.stats.stores += 1
         return True
 
     # -- maintenance -----------------------------------------------------------
 
     def entries(self):
-        """Paths of all entries currently on disk."""
+        """Paths of all entries currently on disk (never another writer's
+        temporary file)."""
         try:
-            return sorted(self.root.glob("*.json"))
+            return sorted(path for path in self.root.glob(f"*{self._suffix}")
+                          if not path.name.startswith(_TEMP_PREFIX))
         except OSError:
             return []
 
@@ -227,6 +252,7 @@ class ProfileStore(_EntryStore):
 
     _home_dir = "profiles"
     _cache_dir_subdir = ""
+    _suffix = ".prof"
 
     def __init__(self, root=None, schema=None):
         super().__init__(root, PROFILE_CACHE_SCHEMA if schema is None else schema)
@@ -250,8 +276,8 @@ class ProfileStore(_EntryStore):
     def load(self, source, fuel, inline=False, transform=False):
         """Return a :class:`CachedRun` on a hit, else ``None``.
 
-        Corrupt entries (bad JSON, wrong schema, checksum mismatch, missing
-        fields, any layout other than the one :meth:`store` writes) are
+        Corrupt entries (truncated, checksum mismatch, wrong schema or key,
+        any layout other than the one :meth:`store` writes) are logged,
         deleted and reported as a miss so the caller re-profiles and
         overwrites them.
         """
@@ -261,57 +287,57 @@ class ProfileStore(_EntryStore):
         if data is None:
             return None
         try:
-            payload = json.loads(self._verified_payload(key, data))
-            profile = profile_from_dict(payload["profile"])
-            static_loops = _static_loops_from_dict(payload["static_loops"])
-            output = list(payload["output"])
-        except Exception:
-            self._discard(path)
+            profile, extra = unpack_profile_with_extra(
+                self._verified_payload(key, data))
+            static_loops = _static_loops_from_dict(extra["static_loops"])
+            output = list(extra["output"])
+        except Exception as exc:
+            self._discard(path, exc)
             return None
         self.stats.hits += 1
         return CachedRun(profile, static_loops, output)
 
     def _entry_prefix(self, key):
-        return '{"schema": %s, "key": %s, "payload": ' % (
-            json.dumps(self.schema), json.dumps(key))
+        return b"repro-profile %d %s " % (self.schema, key.encode("ascii"))
 
     def _verified_payload(self, key, data):
-        """The payload bytes of an entry in :meth:`store`'s layout, checked
-        against the stored checksum without re-encoding the payload; raises
-        ``ValueError`` for anything else (including another schema)."""
-        prefix = self._entry_prefix(key).encode("ascii")
-        tail = len(_CHECKSUM_FIELD) + 64 + 2
-        if (not data.startswith(prefix) or not data.endswith(b'"}')
-                or data[-tail:-66] != _CHECKSUM_FIELD):
+        """The payload of an entry in :meth:`store`'s layout, checked
+        against the stored checksum before any decoding; raises
+        ``ValueError`` naming the defect for anything else (including
+        another schema)."""
+        prefix = self._entry_prefix(key)
+        newline = data.find(b"\n", len(prefix), len(prefix) + 21)
+        length = data[len(prefix):newline]
+        if not data.startswith(prefix) or newline < 0 or not length.isdigit():
             raise ValueError("not a canonical entry")
-        payload = data[len(prefix):-tail]
-        if hashlib.sha256(payload).hexdigest().encode("ascii") != data[-66:-2]:
+        start = newline + 1
+        end = start + int(length)
+        if len(data) < end + 64:
+            raise ValueError(f"truncated: {len(data)} of {end + 64} bytes")
+        if len(data) > end + 64:
+            raise ValueError("not a canonical entry: "
+                             f"{len(data) - end - 64} trailing bytes")
+        payload = memoryview(data)[start:end]
+        if hashlib.sha256(payload).hexdigest().encode("ascii") != data[end:]:
             raise ValueError("checksum mismatch")
         return payload
 
     def store(self, source, fuel, profile, static_info, output, inline=False,
               transform=False):
-        """Persist one profiling run; returns whether it was written."""
+        """Persist one profiling run; returns whether it was written. A
+        profile that cannot be encoded counts as an error like a failed
+        write."""
         key = self.cache_key(source, fuel, inline, transform)
-        payload = {
-            "profile": profile_to_dict(profile),
-            "static_loops": _static_loops_to_dict(static_info.loops),
-            "output": list(output),
-        }
-        # Serialize the (large) payload exactly once, in canonical form, and
-        # reuse the text for both the checksum and the entry body.  json.dump
-        # would stream through the pure-Python encoder; json.dumps uses the C
-        # one, which is the difference between seconds and milliseconds on a
-        # multi-megabyte profile. The checksum covers exactly these payload
-        # bytes, so load verifies it on the raw entry before parsing.
-        payload_json = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        checksum = hashlib.sha256(payload_json.encode("utf-8")).hexdigest()
-        return self._publish(key, '%s%s%s%s"}' % (
-            self._entry_prefix(key),
-            payload_json,
-            _CHECKSUM_FIELD.decode("ascii"),
-            checksum,
-        ))
+        try:
+            payload = pack_profile(profile, {
+                "static_loops": _static_loops_to_dict(static_info.loops),
+                "output": list(output),
+            })
+        except Exception as exc:
+            return self._write_failed(key, exc)
+        return self._publish(key, b"".join((
+            self._entry_prefix(key), b"%d\n" % len(payload), payload,
+            hashlib.sha256(payload).hexdigest().encode("ascii"))))
 
 
 _DEFAULT_STORE = None
@@ -352,6 +378,7 @@ class CodeCache(_EntryStore):
 
     _home_dir = "code"
     _cache_dir_subdir = "code"
+    _suffix = ".json"
 
     def __init__(self, root=None, schema=None, cap=None):
         super().__init__(root, CODE_CACHE_SCHEMA if schema is None else schema)
@@ -375,8 +402,8 @@ class CodeCache(_EntryStore):
             checksum = hashlib.sha256(source.encode("utf-8")).hexdigest()
             if entry.get("checksum") != checksum:
                 raise ValueError("checksum mismatch")
-        except Exception:
-            self._discard(path)
+        except Exception as exc:
+            self._discard(path, exc)
             return None
         self.stats.hits += 1
         try:
@@ -394,7 +421,7 @@ class CodeCache(_EntryStore):
             "checksum": hashlib.sha256(source.encode("utf-8")).hexdigest(),
             "meta": dict(meta) if meta else {},
         }
-        if not self._publish(key, json.dumps(entry)):
+        if not self._publish(key, json.dumps(entry).encode("utf-8")):
             return False
         self._evict_to_cap()
         return True
@@ -442,10 +469,6 @@ def default_code_cache():
 
 
 # -- payload helpers -----------------------------------------------------------
-
-
-#: What separates an entry's payload from its quoted sha256 hex digest.
-_CHECKSUM_FIELD = b', "checksum": "'
 
 
 def _static_loops_to_dict(loops):

@@ -8,6 +8,7 @@ degrades to re-profiling, never to wrong numbers.
 """
 
 import json
+import logging
 import multiprocessing
 
 import pytest
@@ -22,7 +23,7 @@ from repro.runtime.profile_store import (
     default_code_cache,
     default_store,
 )
-from repro.runtime.serialize import profile_to_dict
+from repro.runtime.serialize import packed_regions, profile_to_dict
 
 FUEL = 50_000_000
 BENCH = "specint2000/gzip_like"
@@ -115,7 +116,7 @@ def test_corrupt_entry_falls_back_to_reprofiling(source, store):
     cold = _fresh(source, store)
     cold.profile()
     [entry] = store.entries()
-    entry.write_text(entry.read_text()[: entry.stat().st_size // 2])
+    entry.write_bytes(entry.read_bytes()[: entry.stat().st_size // 2])
 
     relearn = _fresh(source, store)
     relearn.profile()
@@ -133,9 +134,10 @@ def test_checksum_mismatch_detected(source, store):
     cold = _fresh(source, store)
     cold.profile()
     [path] = store.entries()
-    entry = json.loads(path.read_text())
-    entry["payload"]["profile"]["total_cost"] += 1  # bit rot
-    path.write_text(json.dumps(entry))
+    data = bytearray(path.read_bytes())
+    at = _entry_regions(data)["iter_starts"][0] + 3
+    data[at] ^= 0x10  # bit rot in a timestamp
+    path.write_bytes(data)
 
     warm = _fresh(source, store)
     warm.profile()
@@ -145,8 +147,9 @@ def test_checksum_mismatch_detected(source, store):
 
 
 def test_same_length_payload_flip_detected(source, store):
-    """A flipped digit keeps the entry's layout, length and JSON validity;
-    only the checksum over the raw payload bytes can catch it."""
+    """A flipped digit keeps the entry's layout, length and the validity of
+    the payload's JSON header; only the checksum over the raw payload bytes
+    can catch it."""
     cold = _fresh(source, store)
     cold.profile()
     [path] = store.entries()
@@ -162,6 +165,272 @@ def test_same_length_payload_flip_detected(source, store):
     assert not warm.profiled_from_cache
     assert store.stats.corrupt == 1
     assert store.entries(), "entry is rewritten after the fallback"
+
+
+# -- damage in every region of the entry layout -------------------------------
+
+#: Cheap enough to re-profile once per damaged region, and every column of
+#: its packed profile is non-empty: memory-LCD conflict pairs, int and
+#: float register-LCD runs.
+REGION_SOURCE = """
+int A[64];
+int main() { int i; int x = 1; float f = 1.0; int s = 0;
+  for (i = 1; i < 64; i = i + 1) {
+    A[i] = A[i - 1] + i;
+    if (i % 3 == 0) { s = s + x; }
+    x = (x * 5 + 1) & 1023;
+    f = f * 0.5 + 1.0;
+  }
+  return (s + A[63] + (int)f) & 255; }
+"""
+
+
+def _entry_regions(data):
+    """``name -> (start, end)`` over a whole profile entry: its ``line``,
+    every region of the packed payload, then the ``checksum``."""
+    start = data.index(b"\n") + 1
+    length = int(data[:start].split()[-1])
+    regions = {"line": (0, start)}
+    payload = bytes(data[start:start + length])
+    for name, begin, end in packed_regions(payload):
+        regions[name] = (start + begin, start + end)
+    regions["checksum"] = (start + length, len(data))
+    return regions
+
+
+@pytest.fixture(scope="module")
+def region_entry(tmp_path_factory):
+    store = ProfileStore(tmp_path_factory.mktemp("region-entry"))
+    Loopapalooza(REGION_SOURCE, name="regions", fuel=FUEL,
+                 store=store).profile()
+    [path] = store.entries()
+    return path.read_bytes()
+
+
+def _planted(root, data):
+    """A store under ``root`` whose only entry (for ``REGION_SOURCE``) holds
+    ``data``, and that entry's path."""
+    store = ProfileStore(root)
+    path = root / f"{store.cache_key(REGION_SOURCE, FUEL)}.prof"
+    root.mkdir(parents=True)
+    path.write_bytes(data)
+    return store, path
+
+
+def _assert_recovers(root, damaged, what):
+    """The damaged entry is a counted corrupt miss and unlinked; the run
+    re-profiles and rewrites it, and the rewrite is a hit."""
+    store, path = _planted(root, damaged)
+    assert store.load(REGION_SOURCE, FUEL) is None, what
+    assert (store.stats.corrupt, store.stats.misses) == (1, 1), what
+    assert not path.exists(), what
+    relearn = Loopapalooza(REGION_SOURCE, name="regions", fuel=FUEL,
+                           store=store)
+    relearn.profile()
+    assert not relearn.profiled_from_cache, what
+    assert store.stats.stores == 1, what
+    cached = store.load(REGION_SOURCE, FUEL)
+    assert cached is not None, what
+    assert profile_to_dict(cached.profile) == profile_to_dict(
+        relearn.profile()), what
+
+
+def test_byte_flip_in_every_region_detected(region_entry, tmp_path):
+    """A same-length flip anywhere — the entry line, the frame, the JSON
+    header, any column, the checksum — never loads."""
+    regions = _entry_regions(region_entry)
+    assert all(end > start for start, end in regions.values()), regions
+    for name, (start, end) in regions.items():
+        damaged = bytearray(region_entry)
+        damaged[(start + end) // 2] ^= 0x01
+        _assert_recovers(tmp_path / name, bytes(damaged), name)
+
+
+def test_truncation_at_every_region_boundary_detected(region_entry, tmp_path):
+    boundaries = {start for start, _ in _entry_regions(region_entry).values()}
+    boundaries.add(len(region_entry) - 1)
+    for size in sorted(boundaries):
+        _assert_recovers(tmp_path / str(size), region_entry[:size],
+                         f"truncated to {size} bytes")
+
+
+def test_trailing_bytes_detected(region_entry, tmp_path):
+    _assert_recovers(tmp_path / "long", region_entry + b"\n", "trailing")
+
+
+# -- one warning per discard or failed write ----------------------------------
+
+LOGGER = "repro.runtime.profile_store"
+
+
+def _warnings(caplog):
+    return [record.getMessage() for record in caplog.records
+            if record.name == LOGGER and record.levelno == logging.WARNING]
+
+
+def _flip_payload(data):
+    damaged = bytearray(data)
+    start, end = _entry_regions(data)["int_values"]
+    damaged[(start + end) // 2] ^= 0x01
+    return bytes(damaged)
+
+
+@pytest.mark.parametrize("damage, reason", [
+    (_flip_payload, "checksum mismatch"),
+    (lambda data: b"X" + data[1:], "not a canonical entry"),
+    (lambda data: data[:-10], "truncated"),
+], ids=["checksum", "canonical", "truncated"])
+def test_profile_store_logs_each_discard(region_entry, tmp_path, caplog,
+                                         damage, reason):
+    store, path = _planted(tmp_path / "profiles", damage(region_entry))
+    with caplog.at_level(logging.WARNING, logger=LOGGER):
+        assert store.load(REGION_SOURCE, FUEL) is None
+    [message] = _warnings(caplog)
+    assert str(path) in message and reason in message
+    assert store.stats.corrupt == 1
+
+
+def test_profile_store_logs_unreadable_entry(tmp_path, caplog):
+    """An entry that exists but cannot be read is a logged miss; a missing
+    entry is an ordinary, silent one."""
+    store, path = _planted(tmp_path / "profiles", b"")
+    path.unlink()
+    with caplog.at_level(logging.WARNING, logger=LOGGER):
+        assert store.load(REGION_SOURCE, FUEL) is None
+        assert _warnings(caplog) == []
+        path.mkdir()
+        assert store.load(REGION_SOURCE, FUEL) is None
+    [message] = _warnings(caplog)
+    assert str(path) in message and "cannot read" in message
+    assert (store.stats.misses, store.stats.corrupt) == (2, 0)
+
+
+def test_profile_store_logs_failed_write(tmp_path, caplog):
+    lp = Loopapalooza(REGION_SOURCE, name="regions", fuel=FUEL)
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    store = ProfileStore(blocker)
+    with caplog.at_level(logging.WARNING, logger=LOGGER):
+        assert not store.store(REGION_SOURCE, FUEL, lp.profile(),
+                               lp.static_info, lp.output)
+    [message] = _warnings(caplog)
+    assert str(blocker) in message and "File exists" in message
+    assert store.stats.errors == 1
+
+
+def test_profile_store_logs_unencodable_profile(tmp_path, caplog):
+    """A profile the packed layout cannot hold is a counted, logged write
+    error, never an exception out of ``store``."""
+    lp = Loopapalooza(REGION_SOURCE, name="regions", fuel=FUEL)
+    profile = lp.profile()
+    saved = profile.top_level[0].iter_starts[1]
+    profile.top_level[0].iter_starts[1] = float(saved)
+    store = ProfileStore(tmp_path / "profiles")
+    try:
+        with caplog.at_level(logging.WARNING, logger=LOGGER):
+            assert not store.store(REGION_SOURCE, FUEL, profile,
+                                   lp.static_info, lp.output)
+    finally:
+        profile.top_level[0].iter_starts[1] = saved
+    [message] = _warnings(caplog)
+    assert "iter_starts" in message
+    assert store.stats.errors == 1 and not store.entries()
+
+
+def _truncate_json(text):
+    return text[: len(text) // 2]
+
+
+@pytest.mark.parametrize("damage", [
+    lambda entry: json.dumps({**entry, "source": entry["source"] + " "}),
+    lambda entry: json.dumps({**entry, "schema": entry["schema"] + 1}),
+    lambda entry: _truncate_json(json.dumps(entry)),
+], ids=["checksum", "schema", "truncated"])
+def test_code_cache_logs_each_discard(tmp_path, caplog, damage):
+    cache = CodeCache(tmp_path / "code")
+    assert cache.store("k", "def f():\n    return 1\n")
+    [path] = cache.entries()
+    damaged = damage(json.loads(path.read_text()))
+    path.write_text(damaged)
+    try:
+        entry = json.loads(damaged)
+    except ValueError as exc:
+        reason = str(exc)
+    else:
+        reason = ("checksum mismatch" if entry["schema"] == cache.schema
+                  else "schema mismatch")
+    with caplog.at_level(logging.WARNING, logger=LOGGER):
+        assert cache.load("k") is None
+    [message] = _warnings(caplog)
+    assert str(path) in message and reason in message
+    assert cache.stats.corrupt == 1 and not path.exists()
+
+
+def test_code_cache_logs_failed_write(tmp_path, caplog):
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    cache = CodeCache(blocker)
+    with caplog.at_level(logging.WARNING, logger=LOGGER):
+        assert not cache.store("k", "pass\n")
+    [message] = _warnings(caplog)
+    assert str(blocker) in message and "File exists" in message
+    assert cache.stats.errors == 1
+
+
+def test_temp_files_are_not_entries(tmp_path):
+    """A writer's in-flight ``.tmp-*`` file is neither counted nor sized,
+    and ``clear`` leaves it for its writer's rename."""
+    lp = Loopapalooza(REGION_SOURCE, name="regions", fuel=FUEL)
+    profiles = ProfileStore(tmp_path / "profiles")
+    assert profiles.store(REGION_SOURCE, FUEL, lp.profile(), lp.static_info,
+                          lp.output)
+    code = CodeCache(tmp_path / "code")
+    assert code.store("k", "pass\n")
+    for cache, suffix in ((profiles, ".prof"), (code, ".json")):
+        [entry] = cache.entries()
+        planted = [cache.root / ".tmp-x", cache.root / f".tmp-x{suffix}"]
+        for path in planted:
+            path.write_bytes(b"in flight")
+        info = cache.info()
+        assert info["entries"] == 1
+        assert info["size_bytes"] == entry.stat().st_size
+        assert cache.clear() == 1
+        assert all(path.exists() for path in planted)
+        assert cache.entries() == []
+
+
+# -- deep invocation trees ----------------------------------------------------
+
+DEEP_SOURCE = """
+int dive(int n) { int i; int s = 0;
+  if (n == 0) { return 0; }
+  for (i = 0; i < 2; i = i + 1) {
+    if (i == 0) { s = s + dive(n - 1); } else { s = s + 1; }
+  }
+  return s; }
+int main() { return dive(1500) & 255; }
+"""
+
+
+def test_deep_invocation_tree_round_trips_through_the_store(tmp_path):
+    """Regression: a recursive call inside a loop nests one invocation per
+    call; at depth 1500 ``store`` used to raise ``RecursionError`` out of
+    ``Loopapalooza.profile``."""
+    store = ProfileStore(tmp_path / "profiles")
+    cold = Loopapalooza(DEEP_SOURCE, name="deep", fuel=FUEL, store=store)
+    profile = cold.profile()
+    depth, invocation = 1, profile.top_level[0]
+    while invocation.children:
+        depth, invocation = depth + 1, invocation.children[0]
+    assert depth == 1500
+    assert store.stats.stores == 1 and store.stats.errors == 0
+
+    warm = Loopapalooza(DEEP_SOURCE, name="deep", fuel=FUEL, store=store)
+    warm.profile()
+    assert warm.profiled_from_cache
+    for config in paper_configurations():
+        assert warm.evaluate(config).to_dict() == cold.evaluate(
+            config).to_dict(), config.name
 
 
 def test_clear_and_info(source, store):
@@ -275,4 +544,4 @@ def test_concurrent_writers_and_reader(tmp_path):
     assert set(outcomes[:-1]) <= {"hit", "miss"}
     assert "hit" in outcomes
     assert sorted(p.name for p in root.iterdir()) == [
-        f"{ProfileStore(root).cache_key(SMALL_SOURCE, FUEL)}.json"]
+        f"{ProfileStore(root).cache_key(SMALL_SOURCE, FUEL)}.prof"]
