@@ -3,7 +3,7 @@
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: install test lint-ir crosscheck advise-report transform-report fuzz-smoke fuzz-report bench bench-interp perfbench-smoke sweep-smoke sweep-fault-smoke figures examples clean
+.PHONY: install test lint-ir crosscheck advise-report transform-report experiments-check fuzz-smoke fuzz-report bench bench-interp perfbench-smoke sweep-smoke sweep-fault-smoke figures examples clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -24,6 +24,21 @@ advise-report:
 
 transform-report:
 	python tools/transform_report.py
+
+# The committed EXPERIMENTS_MEASURED.md must be exactly what the pipeline
+# writes, from an empty profile store and again warm from the store that
+# first run filled (which must re-profile nothing). ~20s.
+experiments-check:
+	@tmp=$$(mktemp -d); \
+	export REPRO_CACHE_DIR=$$tmp/cache REPRO_RUNS_DIR=$$tmp/runs; \
+	python examples/full_paper_run.py --write-experiments-md \
+		> $$tmp/cold.log \
+	&& git diff --exit-code EXPERIMENTS_MEASURED.md \
+	&& python examples/full_paper_run.py --write-experiments-md \
+		> $$tmp/warm.log \
+	&& git diff --exit-code EXPERIMENTS_MEASURED.md \
+	&& grep "profiles measured this run: 0 " $$tmp/warm.log; \
+	status=$$?; rm -rf $$tmp; exit $$status
 
 # Fixed-seed differential fuzzing campaign (~60s): exits non-zero if any
 # generated program trips an oracle and gets quarantined.

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..predictors.hybrid import perfect_hybrid_flags
 from .config import LPConfig
 from ..runtime.cost_models import (
     PDOALL_SERIAL_THRESHOLD,
@@ -57,43 +56,18 @@ class ProfileCache:
     """Config-independent derived data, shared across configurations.
 
     Everything here is a pure memo over the (immutable, post-``finish``)
-    profile: value-predictor outcomes per (invocation, phi), the
-    evaluation plan (per-loop leaf columns and the records of invocations
-    with children), and each loop's priced leaf outcomes. Caching never
+    profile: the evaluation plan (per-loop leaf columns and the records of
+    invocations with children) and each loop's priced leaf outcomes. The
+    value-predictor outcomes live on the profile itself
+    (:meth:`~repro.runtime.profile.LoopInvocation.lcd_hits`). Caching never
     changes a result — only how often it is recomputed — so serial,
     warm-start, and process-pool evaluations stay bit-identical.
     """
 
     def __init__(self, profile):
         self.profile = profile
-        self._flags = {}
-        self._mispredicted = {}
         self._plan = None
         self._plan_static = None
-
-    def predictor_flags(self, invocation, phi_key):
-        """Perfect-hybrid correctness flags for the phi's latch values."""
-        key = (id(invocation), phi_key)
-        flags = self._flags.get(key)
-        if flags is None:
-            values = invocation.lcd_values.get(phi_key, [])
-            flags = perfect_hybrid_flags(values)
-            self._flags[key] = flags
-        return flags
-
-    def mispredicted_iterations(self, invocation, phi_key):
-        """Iteration indices whose incoming LCD value was mispredicted.
-
-        ``values[i]`` is consumed by iteration ``i+1``; a miss on element
-        ``i`` therefore delays iteration ``i+1``.
-        """
-        key = (id(invocation), phi_key)
-        missed = self._mispredicted.get(key)
-        if missed is None:
-            flags = self.predictor_flags(invocation, phi_key)
-            missed = {index + 1 for index, ok in enumerate(flags) if not ok}
-            self._mispredicted[key] = missed
-        return missed
 
     def plan(self, static_info):
         """The profile's :class:`_Plan` against ``static_info``, built on
@@ -199,7 +173,7 @@ class _Loop:
             return "register-lcd"
         return None
 
-    def price_leaves(self, config, cache, forced_serial):
+    def price_leaves(self, config, forced_serial):
         """The leaf column's :class:`_LeafOutcome` under ``config``.
 
         Memo key: the gate reason, or ``(model, lowered dep, LCD set)`` —
@@ -224,8 +198,7 @@ class _Loop:
                     np.zeros(column.count, dtype=np.int64),
                 )
             else:
-                outcome = _price_column(column, config, cache, reg_keys,
-                                        lowered)
+                outcome = _price_column(column, config, reg_keys, lowered)
             self.outcomes[key] = outcome
         return outcome
 
@@ -308,7 +281,7 @@ def _reason_counts(codes):
     )
 
 
-def _price_column(column, config, cache, reg_keys, lowered):
+def _price_column(column, config, reg_keys, lowered):
     """Price every leaf of ``column`` under ``config``'s model.
 
     Closed forms cover the column; only PDOALL leaves with conflict pairs
@@ -361,15 +334,14 @@ def _price_column(column, config, cache, reg_keys, lowered):
         nconf = column.npairs.copy()
     codes = codes.astype(np.int8)
     if model == "pdoall" and lowered == 2:
-        _lower_mispredicted(column, cache, reg_keys, cost, parallel, codes,
-                            nconf)
+        _lower_mispredicted(column, reg_keys, cost, parallel, codes, nconf)
     if per_leaf is not None and per_leaf.size:
         serial_list = serial.tolist()
         max_list = column.max.tolist()
         offsets = column.offsets.tolist()
         for i in per_leaf.tolist():
             outcome, conflicts = _model_outcome(
-                column.invs[i], config, cache,
+                column.invs[i], config,
                 column.costs[offsets[i]:offsets[i + 1]],
                 serial_list[i], max_list[i], reg_keys,
             )
@@ -411,35 +383,42 @@ def _register_skews(column, reg_keys):
     return best
 
 
-def _lower_mispredicted(column, cache, reg_keys, cost, parallel, codes,
-                        nconf):
+def _lower_mispredicted(column, reg_keys, cost, parallel, codes, nconf):
     """PDOALL ``dep2`` for the leaves without memory conflict pairs, in
     place.
 
     Each mispredicted consumer iteration conflicts only with its
     predecessor, which is always in the current phase, so every one of
-    them starts a phase: the phase breaks are the sorted consumers. All
-    breaks go into one segmented max over the column.
+    them starts a phase: the phase breaks are the sorted consumers. The
+    misses of every key are marked on one mask over the column's
+    iterations, and all breaks go into one segmented max.
     """
-    offsets = column.offsets.tolist()
     leaves = np.flatnonzero(column.npairs == 0)
-    counts = np.zeros(column.count, dtype=np.int64)
-    breaks = []
-    for i in leaves.tolist():
-        inv = column.invs[i]
-        n = offsets[i + 1] - offsets[i]
-        consumers = set()
-        for key in reg_keys:
-            consumers.update(
-                consumer
-                for consumer in cache.mispredicted_iterations(inv, key)
-                if consumer < n
-            )
-        counts[i] = len(consumers)
-        breaks.extend(offsets[i] + consumer for consumer in consumers)
-    if not breaks:
+    if not leaves.size:
+        return
+    invs = [column.invs[i] for i in leaves.tolist()]
+    first = column.offsets[leaves]
+    trips = column.trips[leaves]
+    missed = np.zeros(column.costs.size, dtype=bool)
+    for key in reg_keys:
+        runs = [inv.lcd_hits(key) for inv in invs]
+        at = np.flatnonzero(
+            np.frombuffer(b"".join(runs), dtype=np.uint8) == 0)
+        if not at.size:
+            continue
+        lengths = np.fromiter(map(len, runs), dtype=np.int64,
+                              count=len(runs))
+        ends = np.cumsum(lengths)
+        # A miss on value i of a leaf's run delays its iteration i + 1.
+        run = np.searchsorted(ends, at, side="right")
+        consumer = at - (ends - lengths)[run] + 1
+        keep = consumer < trips[run]
+        missed[first[run[keep]] + consumer[keep]] = True
+    breaks = np.flatnonzero(missed)
+    if not breaks.size:
         return
     leaf_starts = column.offsets[:-1]
+    counts = np.add.reduceat(missed, leaf_starts, dtype=np.int64)
     starts = np.sort(np.concatenate((leaf_starts, breaks)))
     totals = np.add.reduceat(
         np.maximum.reduceat(column.costs, starts),
@@ -607,21 +586,22 @@ class EvaluationResult:
         )
 
 
-def _reg_skew(invocation, phi_key, restrict_to=None):
+def _reg_skew(invocation, phi_key, hits=None):
     """Largest producer->consumer skew of a register LCD lowered to memory.
 
     Producer: the definition of the latch value in iteration ``i``
     (``lcd_def_offsets``); consumer: the first use of the phi in iteration
     ``i+1`` (``lcd_use_offsets``). Iterations without an observed use impose
-    no wait. ``restrict_to`` optionally limits to given consumer iterations
-    (the mispredicted set under ``dep2``).
+    no wait. ``hits`` (the phi's :meth:`lcd_hits` under ``dep2``) limits it
+    to the consumers of mispredicted values.
     """
     defs = invocation.lcd_def_offsets.get(phi_key, [])
     uses = invocation.lcd_use_offsets.get(phi_key, [])
     best = 0.0
     for producer_iter, def_off in enumerate(defs):
         consumer_iter = producer_iter + 1
-        if restrict_to is not None and consumer_iter not in restrict_to:
+        if hits is not None and (producer_iter >= len(hits)
+                                 or hits[producer_iter]):
             continue
         use_off = uses[consumer_iter] if consumer_iter < len(uses) else None
         if use_off is None:
@@ -632,8 +612,7 @@ def _reg_skew(invocation, phi_key, restrict_to=None):
     return best
 
 
-def _model_outcome(invocation, config, cache, eff_costs, serial, eff_max,
-                   reg_keys):
+def _model_outcome(invocation, config, eff_costs, serial, eff_max, reg_keys):
     """Price one invocation that passed every gate; returns
     ``(ModelOutcome, n_conflict_iters)``.
 
@@ -671,15 +650,15 @@ def _model_outcome(invocation, config, cache, eff_costs, serial, eff_max,
                 add_adjacent(consumer)
     elif reg_keys and config.dep == 2:
         for key in reg_keys:
-            mispredicted = cache.mispredicted_iterations(invocation, key)
+            hits = invocation.lcd_hits(key)
             if config.model == "helix":
-                reg_delta = max(
-                    reg_delta, _reg_skew(invocation, key, restrict_to=mispredicted)
-                )
-            else:
-                for consumer in mispredicted:
-                    if consumer < n:
-                        add_adjacent(consumer)
+                reg_delta = max(reg_delta, _reg_skew(invocation, key, hits))
+                continue
+            # A miss on value i delays iteration i + 1.
+            at = hits.find(0)
+            while 0 <= at < n - 1:
+                add_adjacent(at + 1)
+                at = hits.find(0, at + 1)
     # dep3: perfect prediction removes every register LCD.
 
     if config.model == "doall":
@@ -716,7 +695,7 @@ def _evaluate_once(profile, static_info, config, cache, forced_serial,
     for loop in plan.loops:
         outcome = None
         if loop.leaves is not None:
-            outcome = loop.price_leaves(config, cache, forced_serial)
+            outcome = loop.price_leaves(config, forced_serial)
             effective[loop.leaves.positions] = outcome.cost
             covered[loop.leaves.positions] = outcome.covered
         leaf_outcomes.append(outcome)
@@ -736,7 +715,7 @@ def _evaluate_once(profile, static_info, config, cache, forced_serial,
         reason = node.loop.gate(config, forced_serial, outer=innermost_only)
         if reason is None:
             outcome, n_conflicts = _model_outcome(
-                node.inv, config, cache, eff_costs, serial, None,
+                node.inv, config, eff_costs, serial, None,
                 node.loop.reg_keys[config.reduc],
             )
         else:
@@ -857,7 +836,7 @@ def evaluate_config(profile, static_info, config, cache=None,
 
 
 def evaluate_all(profile, static_info, configs):
-    """Evaluate many configurations, sharing the predictor cache."""
+    """Evaluate many configurations, sharing one :class:`ProfileCache`."""
     cache = ProfileCache(profile)
     return {
         config.name: evaluate_config(profile, static_info, config, cache)

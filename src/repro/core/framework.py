@@ -23,7 +23,7 @@ from ..settings import current
 from .config import LPConfig
 from .evaluator import ProfileCache, evaluate_config
 from .instrument import build_instrumentation
-from .static_info import ModuleStaticInfo
+from .static_info import ModuleStaticInfo, StaticInfoView
 
 
 class Loopapalooza:
@@ -32,10 +32,14 @@ class Loopapalooza:
     ``store`` (a :class:`~repro.runtime.profile_store.ProfileStore`) makes
     :meth:`profile` consult the persistent profile cache first: on a warm
     start the instrumented interpreter run is skipped entirely and the
-    recorded profile + program output are restored from disk. The cached
-    static classification is cross-checked against the freshly computed one;
-    a mismatch (stale analysis code without a version bump) falls back to
-    re-profiling.
+    recorded profile, program output and static loop classification are
+    restored from disk. The store keys entries on the source of the code
+    that produced them, so the stored classification is the one this code
+    would compute.
+
+    ``module``, ``static_info`` and ``instrumentation`` are built on first
+    access. A warm start never needs them: evaluation and the census read
+    :meth:`classification`, which is then the stored one.
     """
 
     def __init__(self, source, name="program", fuel=200_000_000,
@@ -54,16 +58,48 @@ class Loopapalooza:
         #: Structural-transform pipeline flag (fission/peel/fusion); part of
         #: the profile-store key because it changes the loop population.
         self.transform = bool(transform)
-        self.module = compile_source(
-            source, module_name=name, verify_each=verify_each, inline=inline,
-            transform=self.transform,
-        )
-        self.static_info = ModuleStaticInfo(self.module)
-        self.instrumentation = build_instrumentation(self.static_info)
+        self.verify_each = verify_each
+        self._module = None
+        self._static_info = None
+        self._instrumentation = None
+        self._stored_loops = None  # StaticInfoView of a warm start
         self._profile = None
         self._cache = None
         self._output = None
         self.profiled_from_cache = False
+
+    # -- compilation (on first access) -------------------------------------------
+
+    @property
+    def module(self):
+        if self._module is None:
+            self._module = compile_source(
+                self.source, module_name=self.name,
+                verify_each=self.verify_each, inline=self.inline,
+                transform=self.transform,
+            )
+        return self._module
+
+    @property
+    def static_info(self):
+        """The full :class:`ModuleStaticInfo` of :attr:`module`."""
+        if self._static_info is None:
+            self._static_info = ModuleStaticInfo(self.module)
+        return self._static_info
+
+    @property
+    def instrumentation(self):
+        if self._instrumentation is None:
+            self._instrumentation = build_instrumentation(self.static_info)
+        return self._instrumentation
+
+    def classification(self):
+        """The static loop classification evaluation reads: the stored
+        one (a :class:`StaticInfoView`) after a warm start, else
+        :attr:`static_info`."""
+        if self._stored_loops is not None:
+            return self._stored_loops
+        return self.static_info
 
     # -- profiling ------------------------------------------------------------
 
@@ -93,30 +129,15 @@ class Loopapalooza:
         return self._profile
 
     def _load_cached_profile(self):
-        from ..core.static_info import loop_static_to_dict
-
         cached = self.store.load(self.source, self.fuel, inline=self.inline,
                                  transform=self.transform)
         if cached is None:
-            return
-        mine = {
-            loop_id: loop_static_to_dict(s)
-            for loop_id, s in self.static_info.loops.items()
-        }
-        theirs = {
-            loop_id: loop_static_to_dict(s)
-            for loop_id, s in cached.static_loops.items()
-        }
-        if mine != theirs:
-            # The classifier disagrees with what was profiled: the cached
-            # instrumentation plan is stale, so the profile is unusable.
-            self.store.stats.hits -= 1
-            self.store.stats.misses += 1
             return
         cached.profile.name = self.name
         self._profile = cached.profile
         self._cache = ProfileCache(self._profile)
         self._output = cached.output
+        self._stored_loops = StaticInfoView(cached.static_loops)
         self.profiled_from_cache = True
 
     def run_uninstrumented(self):
@@ -151,7 +172,7 @@ class Loopapalooza:
             config = LPConfig.parse(config)
         profile = self.profile()
         return evaluate_config(
-            profile, self.static_info, config, self._cache,
+            profile, self.classification(), config, self._cache,
             innermost_only=innermost_only,
         )
 
@@ -165,7 +186,7 @@ class Loopapalooza:
     # -- introspection --------------------------------------------------------
 
     def loop_ids(self):
-        return sorted(self.static_info.loops)
+        return sorted(self.classification().loops)
 
     def call_tls_report(self):
         """Function-call/continuation TLS estimate (paper §I extension)."""
@@ -175,14 +196,15 @@ class Loopapalooza:
 
     def census(self):
         """Static dependence census (the Table-I view for this program)."""
-        return self.static_info.census()
+        return self.classification().census()
 
     def describe_loop(self, loop_id):
         """Static classification record for one loop."""
-        static = self.static_info.loops.get(loop_id)
+        static = self.classification().loops.get(loop_id)
         if static is None:
             raise FrameworkError(f"unknown loop {loop_id!r}")
         return static
 
     def __repr__(self):
-        return f"<Loopapalooza {self.name}: {len(self.static_info.loops)} loops>"
+        return (f"<Loopapalooza {self.name}: "
+                f"{len(self.classification().loops)} loops>")

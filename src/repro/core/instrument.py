@@ -22,12 +22,6 @@ from ..interp.interpreter import FunctionInstrumentation
 from ..ir.instructions import Instruction
 from .static_info import PHI_COMPUTABLE, phi_key_for
 
-#: Bump whenever the instrumentation plan (what gets hooked, event
-#: ordering, timestamp conventions) changes: recorded profiles depend on
-#: it, so the persistent profile cache keys on this number.
-INSTRUMENTATION_VERSION = 1
-
-
 def jit_variant_for(plan, runtime):
     """Which codegen variant a run needs: ``True`` (instrumented) whenever
     a runtime is attached — even with an empty or missing plan, because a

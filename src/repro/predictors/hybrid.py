@@ -75,7 +75,10 @@ def perfect_hybrid_flags(values, predictors=None):
         if not hit and st_stride is not None and st_last is not None:
             hit = (st_last + st_stride) == value
         if not hit and td_stride is not None and td_last is not None:
-            hit = (td_last + td_stride) == value
+            try:
+                hit = (td_last + td_stride) == value
+            except (TypeError, OverflowError):
+                pass  # a prediction the arithmetic cannot form is none
         if not hit and fcm_count == 2:
             predicted = fcm_table.get((fcm_h1, fcm_h2))
             hit = predicted is not None and predicted == value
@@ -85,7 +88,7 @@ def perfect_hybrid_flags(values, predictors=None):
             # Stride: delta against the previous value.
             try:
                 st_stride = value - st_last
-            except TypeError:
+            except (TypeError, OverflowError):
                 st_stride = None
             # 2-delta: the predicting stride only updates once the same new
             # stride repeats (or on first observation).

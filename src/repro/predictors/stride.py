@@ -22,13 +22,16 @@ class StridePredictor(ValuePredictor):
     def predict(self):
         if self._last is None or self._stride is None:
             return None
-        return self._last + self._stride
+        try:
+            return self._last + self._stride
+        except (TypeError, OverflowError):
+            return None
 
     def train(self, actual):
         if self._last is not None:
             try:
                 self._stride = actual - self._last
-            except TypeError:
+            except (TypeError, OverflowError):
                 self._stride = None
         self._last = actual
 

@@ -21,13 +21,16 @@ class TwoDeltaStridePredictor(ValuePredictor):
     def predict(self):
         if self._last is None or self._stride is None:
             return None
-        return self._last + self._stride
+        try:
+            return self._last + self._stride
+        except (TypeError, OverflowError):
+            return None
 
     def train(self, actual):
         if self._last is not None:
             try:
                 observed = actual - self._last
-            except TypeError:
+            except (TypeError, OverflowError):
                 observed = None
             if observed is not None:
                 if observed == self._candidate:

@@ -16,7 +16,6 @@ predicts at least ``PREDICTABLE_ACCURACY`` of its values.
 from __future__ import annotations
 
 from ..core.static_info import PHI_NONCOMPUTABLE, PHI_REDUCTION
-from ..predictors.hybrid import perfect_hybrid_flags
 from ..runtime.cost_models import pdoall_phase_breaks
 
 FREQUENT_RATE = 0.20
@@ -60,15 +59,16 @@ def dynamic_census_of(lp):
     """Per-loop dynamic census for one profiled program
     (:class:`~repro.core.framework.Loopapalooza` instance)."""
     profile = lp.profile()
+    loops = lp.classification().loops
     census = {}
     reduction_keys = {
         key
-        for static in lp.static_info.loops.values()
+        for static in loops.values()
         for key in static.phis_of_class(PHI_REDUCTION)
     }
     noncomputable_keys = {
         key
-        for static in lp.static_info.loops.values()
+        for static in loops.values()
         for key in static.phis_of_class(PHI_NONCOMPUTABLE)
     }
     for invocation in profile.all_invocations():
@@ -92,8 +92,8 @@ def dynamic_census_of(lp):
                 continue
             if phi_key not in noncomputable_keys or not values:
                 continue
-            flags = perfect_hybrid_flags(values)
-            accuracy = sum(flags) / len(flags)
+            hits = invocation.lcd_hits(phi_key)
+            accuracy = hits.count(1) / len(hits)
             if accuracy >= PREDICTABLE_ACCURACY:
                 entry.predictable_lcds.add(phi_key)
             else:

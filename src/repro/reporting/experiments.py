@@ -204,10 +204,11 @@ def format_census(rows):
         "loops", "computable_phis", "reduction_phis", "noncomputable_phis",
         "loops_with_calls", "loops_with_unsafe_calls",
     ]
-    header = f"{'suite':14s}" + "".join(f"{k:>22s}" for k in keys)
+    # Two spaces beyond the longest name keep every header apart.
+    width = max(map(len, keys)) + 2
+    header = f"{'suite':14s}" + "".join(f"{k:>{width}s}" for k in keys)
     lines.append(header)
     for suite, totals in rows.items():
-        lines.append(
-            f"{suite:14s}" + "".join(f"{totals.get(k, 0):>22d}" for k in keys)
-        )
+        lines.append(f"{suite:14s}" + "".join(
+            f"{totals.get(k, 0):>{width}d}" for k in keys))
     return "\n".join(lines)

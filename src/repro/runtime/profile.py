@@ -13,12 +13,15 @@ invocation stores:
 * aggregated memory-RAW conflicts: the set of consumer iterations (for the
   Partial-DOALL phase simulation and the 80 % rule), the per-iteration
   producer->consumer skew maximum (for the HELIX formula), and the raw count,
-* per tracked register LCD: the latch value sequence (for value-predictor
-  simulation) and per-iteration producer-definition / first-use offsets (for
-  HELIX ``dep1`` lowering).
+* per tracked register LCD: the latch value sequence, the perfect-hybrid
+  predictor outcome of each of its values (``dep2``; derived from the
+  sequence, see :meth:`LoopInvocation.lcd_hits`) and per-iteration
+  producer-definition / first-use offsets (for HELIX ``dep1`` lowering).
 """
 
 from __future__ import annotations
+
+from ..predictors.hybrid import perfect_hybrid_flags
 
 
 class LoopInvocation:
@@ -35,7 +38,7 @@ class LoopInvocation:
         "loop_id", "parent", "parent_iter", "iter_starts", "end_ts",
         "conflict_pairs", "max_mem_skew", "conflict_count",
         "lcd_values", "lcd_def_offsets", "lcd_use_offsets",
-        "children", "exited",
+        "children", "exited", "_hits",
     )
 
     def __init__(self, loop_id, parent, parent_iter, start_ts):
@@ -55,14 +58,16 @@ class LoopInvocation:
         self.lcd_use_offsets = {}
         self.children = []
         self.exited = False
+        self._hits = {}
 
     @classmethod
     def decoded(cls, loop_id, parent, parent_iter, iter_starts, end_ts,
                 conflict_pairs, max_mem_skew, conflict_count, lcd_values,
-                lcd_def_offsets, lcd_use_offsets, exited):
+                lcd_def_offsets, lcd_use_offsets, exited, hits):
         """An invocation whose every field is already known (a decoded
         profile), without the placeholder containers ``__init__`` builds
-        for recording; ``children`` starts empty."""
+        for recording; ``children`` starts empty. ``hits`` presets
+        :meth:`lcd_hits` (``{phi key: bytes}``)."""
         self = cls.__new__(cls)
         self.loop_id = loop_id
         self.parent = parent
@@ -77,7 +82,24 @@ class LoopInvocation:
         self.lcd_use_offsets = lcd_use_offsets
         self.children = []
         self.exited = exited
+        self._hits = hits
         return self
+
+    def lcd_hits(self, phi_key):
+        """One byte per value of ``lcd_values[phi_key]``: 1 where the
+        perfect hybrid of the four value predictors (§III-C), trained on
+        the values before it, predicted it exactly, else 0.
+
+        ``values[i]`` is consumed by iteration ``i+1``, so a 0 at ``i``
+        delays iteration ``i+1`` under ``dep2``. Computed on first use and
+        kept (the profile must be finished by then); a decoded profile
+        arrives with them already filled.
+        """
+        bits = self._hits.get(phi_key)
+        if bits is None:
+            bits = self._hits[phi_key] = bytes(
+                perfect_hybrid_flags(self.lcd_values.get(phi_key, ())))
+        return bits
 
     # -- derived quantities -------------------------------------------------------
 

@@ -9,14 +9,18 @@ runner, the figure harnesses, and pytest skip re-profiling entirely.
 Cache key
 ---------
 
-``sha256(cache_schema | profile_format | instrumentation_version |
-fuel | inline | source)`` — any change to the benchmark source, the fuel
-budget, the inlining mode, the serialized profile layout, or the
-instrumentation planner invalidates the entry. Bump
-:data:`PROFILE_CACHE_SCHEMA` whenever the *payload* layout changes (the
-other two versions live with the code they describe:
-``repro.runtime.serialize.FORMAT_VERSION`` and
-``repro.core.instrument.INSTRUMENTATION_VERSION``).
+``sha256(cache_schema | profile_format | pipeline_digest | fuel | inline |
+transform | source)`` — any change to the benchmark source, the fuel
+budget, the inlining or transform mode, the serialized profile layout, or
+the code that decides the profile invalidates the entry.
+:func:`pipeline_digest` hashes that code itself (every file listed in
+:data:`PIPELINE_SOURCES`), so no version needs bumping by hand when the
+compiler, the classifier, the instrumentation, the interpreter, the
+recorder or the value predictors change, and an entry's stored static
+loops always belong to the code that reads them: a hit needs no compiled
+module. Bump :data:`PROFILE_CACHE_SCHEMA` whenever the *entry* layout
+changes (the profile format's own version is
+``repro.runtime.serialize.FORMAT_VERSION``).
 
 Profile entries are binary files named ``<key>.prof``: one ASCII line
 ``repro-profile <schema> <key> <payload length>``, the payload, then the
@@ -39,6 +43,7 @@ are ``<key>.json``) and lives in ``code`` beside it
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -51,8 +56,23 @@ from .serialize import FORMAT_VERSION, pack_profile, unpack_profile_with_extra
 
 #: Version of the on-disk cache payload layout (not of the profile format
 #: itself — that is ``serialize.FORMAT_VERSION``). Bumping this invalidates
-#: every existing cache entry.
-PROFILE_CACHE_SCHEMA = 2
+#: every existing cache entry. 3: packed payloads carry the ``lcd_hits``
+#: column.
+PROFILE_CACHE_SCHEMA = 3
+
+#: The source of the ``repro`` package that decides a stored entry's
+#: profile, static loops, program output and predictor outcomes:
+#: directories (every ``.py`` file below them) and single files, relative
+#: to the package root. The evaluator, cost models and reporting only read
+#: entries and stay out.
+PIPELINE_SOURCES = (
+    "frontend", "ir", "passes", "analysis", "interp", "predictors",
+    "core/static_info.py", "core/instrument.py",
+    "runtime/recorder.py", "runtime/profile.py", "runtime/call_records.py",
+    "runtime/serialize.py",
+)
+
+_PACKAGE_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 _log = logging.getLogger(__name__)
 
@@ -60,10 +80,28 @@ _log = logging.getLogger(__name__)
 _TEMP_PREFIX = ".tmp-"
 
 
-def _instrumentation_version():
-    from ..core.instrument import INSTRUMENTATION_VERSION
+def pipeline_digest(root=_PACKAGE_ROOT):
+    """sha256 hex over the relative path and bytes of every file of
+    :data:`PIPELINE_SOURCES` under the package directory ``root``."""
+    root = pathlib.Path(root)
+    files = set()
+    for name in PIPELINE_SOURCES:
+        path = root / name
+        files.update(path.rglob("*.py") if path.is_dir() else [path])
+    digest = hashlib.sha256()
+    for path in sorted(files, key=lambda path: path.relative_to(root)):
+        data = path.read_bytes()
+        relative = path.relative_to(root).as_posix().encode("utf-8")
+        digest.update(b"%s\0%d\0" % (relative, len(data)))
+        digest.update(data)
+    return digest.hexdigest()
 
-    return INSTRUMENTATION_VERSION
+
+@functools.cache
+def _pipeline_digest():
+    """This package's :func:`pipeline_digest`, computed once per
+    process."""
+    return pipeline_digest()
 
 
 class ProfileStoreStats:
@@ -265,7 +303,7 @@ class ProfileStore(_EntryStore):
         different loop populations, so the entries must never collide.
         """
         tag = (
-            f"{self.schema}|{FORMAT_VERSION}|{_instrumentation_version()}"
+            f"{self.schema}|{FORMAT_VERSION}|{_pipeline_digest()}"
             f"|{fuel}|{int(bool(inline))}|{int(bool(transform))}|"
         )
         digest = hashlib.sha256()

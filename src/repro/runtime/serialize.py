@@ -13,7 +13,11 @@ Two encodings of one :class:`ProgramProfile`:
   entries, exact down to value types, float bits and dictionary order.
   Parsing the JSON of a large profile costs more than evaluating it, so
   the store writes the invocation tree as flat little-endian int64/float64
-  columns plus a small JSON header instead.
+  columns plus a small JSON header instead. It also carries the one piece
+  of derived data the evaluator needs, the value-predictor outcomes
+  (:meth:`~repro.runtime.profile.LoopInvocation.lcd_hits`), so a loaded
+  profile never re-runs the predictors. The JSON form leaves them out;
+  its loaders recompute them on first use.
 
 Packed layout (all columns int64 unless noted, every count in the
 header's ``counts``)::
@@ -30,6 +34,8 @@ header's ``counts``)::
     int_values               values of int and int-with-None runs
     max_mem_skew   float64   one per invocation
     float_values   float64   values of float runs
+    lcd_hits       uint8     lcd_hits() of every lcd_values run, one byte
+                             (0 or 1) per value, in run order
 
 A run's tag says where its values live: ``int`` and ``int-with-None``
 (``None`` written as -2**63) in ``int_values``, ``float`` in
@@ -190,10 +196,14 @@ _DOUBLE = struct.Struct("<d")
 _BITS = struct.Struct("<q")
 
 
+#: Bytes per element of each column typecode.
+_ITEMSIZE = {"q": 8, "d": 8, "B": 1}
+
+
 def _columns(counts):
     """``(name, typecode, length)`` of every column, in payload order: all
-    int64 columns, then the float64 ones."""
-    invocations, starts, pairs, runs, ints, floats = counts
+    int64 columns, then the float64 ones, then the uint8 one."""
+    invocations, starts, pairs, runs, ints, floats, hits = counts
     return [
         *((name, "q", invocations) for name in _TABLE_COLUMNS),
         ("iter_starts", "q", starts),
@@ -202,6 +212,7 @@ def _columns(counts):
         ("int_values", "q", ints),
         ("max_mem_skew", "d", invocations),
         ("float_values", "d", floats),
+        ("lcd_hits", "B", hits),
     ]
 
 
@@ -263,6 +274,7 @@ def pack_profile(profile, extra=None):
     (loops, parents, parent_iters, iterations, end_ts, conflict_counts,
      exited, pair_counts, run_counts) = table
     starts, pairs, ints, skews, floats, header_runs = [], [], [], [], [], []
+    hits = bytearray()
     runs = tuple([] for _ in _RUN_COLUMNS)
     run_tables, run_keys, run_tags, run_lengths = runs
 
@@ -299,6 +311,8 @@ def pack_profile(profile, extra=None):
                              for value in values]
                 else:
                     header_runs.append(_header_run(values))
+                if which == 0:
+                    hits += invocation.lcd_hits(key)
                 run_tables.append(which)
                 run_keys.append(key_index.setdefault(key, len(key_index)))
                 run_tags.append(tag)
@@ -324,7 +338,7 @@ def pack_profile(profile, extra=None):
         "loop_ids": list(loop_index),
         "phi_keys": list(key_index),
         "counts": [len(loops), len(starts), len(pairs) // 2, len(run_tags),
-                   len(ints), len(floats)],
+                   len(ints), len(floats), len(hits)],
         "header_runs": header_runs,
         "extra": extra,
     }
@@ -335,6 +349,8 @@ def pack_profile(profile, extra=None):
     }
     column = {"q": array.array("q"), "d": array.array("d")}
     for name, code, _ in _columns(header["counts"]):
+        if code == "B":
+            continue
         try:
             column[code].fromlist(values_of[name])
         except OverflowError:
@@ -345,7 +361,7 @@ def pack_profile(profile, extra=None):
         column["d"].byteswap()
     header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
     return b"".join((_FRAME.pack(_MAGIC, len(header_bytes)), header_bytes,
-                     column["q"].tobytes(), column["d"].tobytes()))
+                     column["q"].tobytes(), column["d"].tobytes(), hits))
 
 
 def _read_header(data):
@@ -366,9 +382,10 @@ def packed_regions(data):
     ``frame``, ``header``, then each column of the layout in order."""
     header, offset = _read_header(data)
     regions = [("frame", 0, _FRAME.size), ("header", _FRAME.size, offset)]
-    for name, _, length in _columns(header["counts"]):
-        regions.append((name, offset, offset + 8 * length))
-        offset += 8 * length
+    for name, code, length in _columns(header["counts"]):
+        end = offset + _ITEMSIZE[code] * length
+        regions.append((name, offset, end))
+        offset = end
     return regions
 
 
@@ -399,14 +416,15 @@ def _unpack(data):
     header, offset = _read_header(data)
     profile = _profile_shell(header)
     columns = _columns(header["counts"])
-    # Each column's [begin, end) in the int64 or the float64 section.
+    # Each column's [begin, end) in the int64, float64 or uint8 section.
     span = {}
-    size = {"q": 0, "d": 0}
+    size = {"q": 0, "d": 0, "B": 0}
     for name, code, length in columns:
         span[name] = (size[code], size[code] + length)
         size[code] += length
     split = offset + 8 * size["q"]
-    end = split + 8 * size["d"]
+    hits_at = split + 8 * size["d"]
+    end = hits_at + size["B"]
     if len(data) != end:
         raise ValueError(f"packed profile is {len(data)} bytes, its header "
                          f"describes {end}")
@@ -414,7 +432,10 @@ def _unpack(data):
     int_column = array.array("q")
     int_column.frombytes(view[offset:split])
     float_column = array.array("d")
-    float_column.frombytes(view[split:end])
+    float_column.frombytes(view[split:hits_at])
+    hits = bytes(view[hits_at:end])
+    if hits.translate(None, b"\0\1"):
+        raise ValueError("lcd_hits holds a byte other than 0 or 1")
     if _BIG_ENDIAN_HOST:
         int_column.byteswap()
         float_column.byteswap()
@@ -425,11 +446,12 @@ def _unpack(data):
         begin, end = span[name]
         return section[begin:end]
 
-    # Runs first, as (table, key, values) in payload order.
+    # Runs first, as (table, key, values, hits or None) in payload order.
     keys = header["phi_keys"]
     header_runs = iter(header["header_runs"])
     value_at, values_end = span["int_values"]
     float_at, floats_end = span["float_values"]
+    hit_at = 0
     decoded_runs = []
     for which, key, tag, length in zip(*map(column, _RUN_COLUMNS)):
         if tag == _INT:
@@ -448,8 +470,13 @@ def _unpack(data):
             raise ValueError(f"unknown run tag {tag}")
         if len(values) != length:
             raise ValueError("run overruns its value column")
-        decoded_runs.append((which, keys[key], values))
+        bits = None
+        if which == 0:
+            bits = hits[hit_at:hit_at + length]
+            hit_at += length
+        decoded_runs.append((which, keys[key], values, bits))
     if (value_at != values_end or float_at != floats_end
+            or hit_at != len(hits)
             or next(header_runs, None) is not None):
         raise ValueError("value columns and run table disagree")
 
@@ -475,15 +502,19 @@ def _unpack(data):
         else:
             conflict_pairs = {}
         lcd = ({}, {}, {})
+        run_hits = {}
         if run_count:
-            for which, key, values in decoded_runs[run_at:run_at + run_count]:
+            for which, key, values, bits in decoded_runs[
+                    run_at:run_at + run_count]:
                 lcd[which][key] = values
+                if bits is not None:
+                    run_hits[key] = bits
             run_at += run_count
         parent = rows[parent] if parent >= 0 else None
         invocation = make(
             loop_ids[loop], parent, parent_iter,
             ints[start_at:start_at + count], end_ts, conflict_pairs, skew,
-            conflict_count, lcd[0], lcd[1], lcd[2], exited == 1)
+            conflict_count, lcd[0], lcd[1], lcd[2], exited == 1, run_hits)
         start_at += count
         rows.append(invocation)
         if parent is None:

@@ -35,6 +35,7 @@ failures are counted, not raised (mirroring the profile store's contract).
 from __future__ import annotations
 
 import json
+import logging
 import os
 import pathlib
 import shutil
@@ -49,6 +50,8 @@ RUN_LEDGER_SCHEMA = 1
 
 LEDGER_NAME = "ledger.jsonl"
 MANIFEST_NAME = "manifest.json"
+
+_log = logging.getLogger(__name__)
 
 
 def runs_root():
@@ -269,9 +272,9 @@ class RunTelemetry:
                 name: _result_from_dict(recorded[name])
                 for name in config_names
             }
-        except Exception:
+        except Exception as exc:
             # A half-written or stale entry degrades to re-evaluation.
-            self.corrupt_lines += 1
+            self._corrupt(f"results of task {task!r}", exc)
             return None
 
     # -- aggregation ----------------------------------------------------------
@@ -301,8 +304,11 @@ class RunTelemetry:
                 continue
             try:
                 event = json.loads(line)
-            except ValueError:
-                self.corrupt_lines += 1
+            except ValueError as exc:
+                self._corrupt("a line", exc)
+                continue
+            if not isinstance(event, dict):
+                self._corrupt("a line", TypeError("not a JSON object"))
                 continue
             kind = event.get("type")
             if kind in ("start", "resume"):
@@ -318,8 +324,8 @@ class RunTelemetry:
                     self._completed.setdefault(event["task"], {}).update(
                         event.get("results") or {}
                     )
-                except Exception:
-                    self.corrupt_lines += 1
+                except Exception as exc:
+                    self._corrupt(f"task event {event.get('task')!r}", exc)
             elif kind == "retry":
                 self._retries += 1
             elif kind == "resumed":
@@ -337,8 +343,14 @@ class RunTelemetry:
             elif kind == "fuzz_case":
                 try:
                     self._absorb_fuzz_case(event)
-                except Exception:
-                    self.corrupt_lines += 1
+                except Exception as exc:
+                    self._corrupt("fuzz_case event", exc)
+
+    def _corrupt(self, what, exc):
+        """Count one unusable ledger record and log why."""
+        self.corrupt_lines += 1
+        _log.warning("skipping %s in ledger %s: %r", what, self.ledger_path,
+                     exc)
 
     # -- persistence ----------------------------------------------------------
 

@@ -9,7 +9,6 @@ import pytest
 from repro.core import LPConfig, Loopapalooza
 from repro.core.evaluator import (
     _REASON_CODE,
-    ProfileCache,
     _LeafColumn,
     _model_outcome,
     _price_column,
@@ -356,7 +355,6 @@ class TestLeafColumns:
     def test_column_matches_per_invocation_model(self, seed):
         leaves = self.leaves(seed)
         column = _LeafColumn(list(enumerate(leaves)))
-        cache = ProfileCache(None)
         checked = 0
         for model in ("doall", "pdoall", "helix"):
             for dep in ((0,) if model == "doall" else (0, 1, 2, 3)):
@@ -365,12 +363,11 @@ class TestLeafColumns:
                         continue  # gated serial: never priced
                     config = LPConfig(model, 0, dep, 3)
                     lowered = dep if reg_keys and dep in (1, 2) else 0
-                    priced = _price_column(column, config, cache, reg_keys,
-                                           lowered)
+                    priced = _price_column(column, config, reg_keys, lowered)
                     for i, inv in enumerate(leaves):
                         costs = np.asarray(inv.iteration_costs(), dtype=float)
                         expected, conflicts = _model_outcome(
-                            inv, config, cache, costs, float(np.sum(costs)),
+                            inv, config, costs, float(np.sum(costs)),
                             float(np.max(costs)), reg_keys,
                         )
                         code = (0 if expected.parallel

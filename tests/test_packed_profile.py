@@ -25,6 +25,8 @@ from repro.bench import all_programs
 from repro.core.framework import Loopapalooza
 from repro.errors import FrameworkError
 from repro.fuzz.genprog import generate_program
+from repro.predictors.hybrid import perfect_hybrid_flags
+from repro.runtime import profile as profile_module
 from repro.runtime.call_records import CallSiteSummary
 from repro.runtime.profile import LoopInvocation, ProgramProfile
 from repro.runtime.profile_store import ProfileStore
@@ -205,6 +207,24 @@ def assert_exact(original, decoded):
             assert list(actual) == list(expected), (where, table)
             for key, values in getattr(want, table).items():
                 _assert_same_values(values, actual[key], (where, table, key))
+        with _predictors_off():
+            for key in want.lcd_values:
+                assert got.lcd_hits(key) == want.lcd_hits(key), (where, key)
+
+
+@contextlib.contextmanager
+def _predictors_off():
+    """Fail any :meth:`LoopInvocation.lcd_hits` that would compute its bits
+    instead of reading them."""
+    def refuse(values):
+        raise AssertionError("lcd_hits recomputed the predictors")
+
+    saved = profile_module.perfect_hybrid_flags
+    profile_module.perfect_hybrid_flags = refuse
+    try:
+        yield
+    finally:
+        profile_module.perfect_hybrid_flags = saved
 
 
 @settings(max_examples=50)
@@ -260,6 +280,20 @@ def test_malformed_input_raises(damage):
         unpack_profile(damage(pack_profile(profile)))
 
 
+def test_hit_column_holds_only_bits():
+    profile = _profile("p", 1, 0, {}, [{
+        "loop_id": "l", "parent_iter": -1, "iter_starts": [0, 4, 6],
+        "end_ts": 9, "conflict_pairs": {}, "max_mem_skew": 0.0,
+        "conflict_count": 0, "lcd_values": {"l#0:x": [3, 3]},
+        "lcd_def_offsets": {}, "lcd_use_offsets": {}, "exited": True}], [-1])
+    data = pack_profile(profile)
+    [(start, end)] = [(start, end) for name, start, end
+                      in packed_regions(data) if name == "lcd_hits"]
+    assert data[start:end] == bytes(perfect_hybrid_flags([3, 3])) == b"\0\1"
+    with pytest.raises(ValueError, match="lcd_hits"):
+        unpack_profile(data[:start] + b"\2" + data[start + 1:])
+
+
 def test_other_format_version_raises():
     data = pack_profile(_profile("p", 1, 0, {}, [], []))
     at = data.index(b'"format":1')
@@ -308,6 +342,24 @@ def test_bundled_profiles_round_trip_through_store(runner, program, tmp_path):
     profile = runner.instance(program).profile()
     assert_same_json(profile, _round_trip_through_store(
         tmp_path, program.full_name, profile))
+
+
+@pytest.mark.parametrize("program", all_programs(),
+                         ids=lambda program: program.full_name)
+def test_bundled_hit_column_matches_the_predictors(runner, program):
+    """The stored bits of every LCD value stream are what the four
+    predictors give on it."""
+    profile = runner.instance(program).profile()
+    decoded = unpack_profile(pack_profile(profile))
+    streams = 0
+    for invocation in decoded.all_invocations():
+        for key, values in invocation.lcd_values.items():
+            with _predictors_off():
+                bits = invocation.lcd_hits(key)
+            assert bits == bytes(perfect_hybrid_flags(values)), key
+            streams += 1
+    assert streams or not any(
+        invocation.lcd_values for invocation in profile.all_invocations())
 
 
 @pytest.mark.parametrize("generated", GENERATED,

@@ -10,18 +10,25 @@ degrades to re-profiling, never to wrong numbers.
 import json
 import logging
 import multiprocessing
+import pathlib
+import shutil
 
 import pytest
 
 from repro.bench import find_program
+from repro.core import framework
 from repro.core.config import paper_configurations
 from repro.core.framework import Loopapalooza
+from repro.core.static_info import loop_static_to_dict
+from repro.runtime import profile_store
 from repro.runtime.profile_store import (
+    PIPELINE_SOURCES,
     PROFILE_CACHE_SCHEMA,
     CodeCache,
     ProfileStore,
     default_code_cache,
     default_store,
+    pipeline_digest,
 )
 from repro.runtime.serialize import packed_regions, profile_to_dict
 
@@ -110,6 +117,126 @@ def test_key_depends_on_transform(store):
     key = store.cache_key(source, FUEL)
     assert key != store.cache_key(source, FUEL, transform=True)
     assert key == store.cache_key(source, FUEL, transform=False)
+
+
+def test_key_depends_on_pipeline_digest(store, monkeypatch):
+    key = store.cache_key("int main() { return 0; }", FUEL)
+    monkeypatch.setattr(profile_store, "_pipeline_digest", lambda: "0" * 64)
+    assert key != store.cache_key("int main() { return 0; }", FUEL)
+
+
+PACKAGE = pathlib.Path(profile_store.__file__).resolve().parent.parent
+
+
+@pytest.fixture(scope="module")
+def package_copy(tmp_path_factory):
+    copy = tmp_path_factory.mktemp("package") / "repro"
+    shutil.copytree(PACKAGE, copy,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return copy
+
+
+def _hashed_files(root):
+    files = []
+    for name in PIPELINE_SOURCES:
+        path = root / name
+        files += sorted(path.rglob("*.py")) if path.is_dir() else [path]
+    return files
+
+
+def _flip_one_byte(path):
+    data = path.read_bytes()
+    damaged = bytearray(data)
+    damaged[len(data) // 2] ^= 0x01
+    path.write_bytes(bytes(damaged))
+    return data
+
+
+def test_pipeline_digest_covers_every_hashed_file(package_copy):
+    """One changed byte in any file that decides a stored entry gives
+    another key; so does a new file in a hashed directory."""
+    digest = pipeline_digest(package_copy)
+    assert digest == pipeline_digest()
+    files = _hashed_files(package_copy)
+    hashed = {path.relative_to(package_copy).as_posix() for path in files}
+    assert {"frontend/parser.py", "ir/instructions.py", "passes/licm.py",
+            "analysis/scev.py", "analysis/lint/core.py",
+            "interp/interpreter.py", "predictors/hybrid.py",
+            "core/static_info.py", "core/instrument.py",
+            "runtime/recorder.py", "runtime/profile.py",
+            "runtime/call_records.py", "runtime/serialize.py"} <= hashed
+    for path in files:
+        original = _flip_one_byte(path)
+        try:
+            assert pipeline_digest(package_copy) != digest, path
+        finally:
+            path.write_bytes(original)
+    added = package_copy / "ir" / "added.py"
+    added.write_text("")
+    try:
+        assert pipeline_digest(package_copy) != digest
+    finally:
+        added.unlink()
+    assert pipeline_digest(package_copy) == digest
+
+
+def test_pipeline_digest_ignores_evaluation_and_reporting(package_copy):
+    """What only reads a stored entry (the evaluator, the reports) can
+    change without invalidating the store."""
+    digest = pipeline_digest(package_copy)
+    readers = [package_copy / "core" / "evaluator.py",
+               *sorted((package_copy / "reporting").rglob("*.py"))]
+    for path in readers:
+        original = _flip_one_byte(path)
+        try:
+            assert pipeline_digest(package_copy) == digest, path
+        finally:
+            path.write_bytes(original)
+
+
+class _Counted:
+    """Counts calls of one framework global and forwards them."""
+
+    def __init__(self, monkeypatch, name):
+        self.calls = 0
+        self.original = getattr(framework, name)
+        monkeypatch.setattr(framework, name, self)
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self.original(*args, **kwargs)
+
+
+def test_warm_hit_never_compiles(source, store, monkeypatch):
+    counters = [_Counted(monkeypatch, name) for name in (
+        "compile_source", "ModuleStaticInfo", "build_instrumentation")]
+    cold = _fresh(source, store)
+    cold.profile()
+    assert [counter.calls for counter in counters] == [1, 1, 1]
+
+    warm = _fresh(source, store)
+    warm.profile()
+    assert warm.profiled_from_cache
+    for config in paper_configurations():
+        assert warm.evaluate(config).to_dict() == cold.evaluate(
+            config).to_dict(), config.name
+    assert warm.census() == cold.census()
+    assert warm.loop_ids() == cold.loop_ids()
+    loop_id = warm.loop_ids()[0]
+    assert loop_static_to_dict(warm.describe_loop(loop_id)) == \
+        loop_static_to_dict(cold.describe_loop(loop_id))
+    assert repr(warm) == repr(cold)
+    assert warm.output == cold.output
+    assert [counter.calls for counter in counters] == [1, 1, 1]
+
+    # The full classification is still there on first access.
+    assert warm.static_info.dependence().keys() == \
+        cold.static_info.dependence().keys()
+    assert [counter.calls for counter in counters] == [2, 2, 1]
+    assert {loop_id: loop_static_to_dict(static)
+            for loop_id, static in warm.static_info.loops.items()} == {
+        loop_id: loop_static_to_dict(static)
+        for loop_id, static in warm.classification().loops.items()}
 
 
 def test_corrupt_entry_falls_back_to_reprofiling(source, store):
@@ -240,6 +367,7 @@ def test_byte_flip_in_every_region_detected(region_entry, tmp_path):
     header, any column, the checksum — never loads."""
     regions = _entry_regions(region_entry)
     assert all(end > start for start, end in regions.values()), regions
+    assert "lcd_hits" in regions
     for name, (start, end) in regions.items():
         damaged = bytearray(region_entry)
         damaged[(start + end) // 2] ^= 0x01
@@ -545,3 +673,59 @@ def test_concurrent_writers_and_reader(tmp_path):
     assert "hit" in outcomes
     assert sorted(p.name for p in root.iterdir()) == [
         f"{ProfileStore(root).cache_key(SMALL_SOURCE, FUEL)}.prof"]
+
+
+CODE_KEYS = [f"key{index}" for index in range(8)]
+CODE_CAP = 3
+
+
+def _code_source(key):
+    return f"# {key}\n" + f"value = {key!r}\n" * 400
+
+
+def _code_writer(root, start):
+    cache = CodeCache(root, cap=CODE_CAP)
+    start.wait()
+    for _ in range(ROUNDS // 4):
+        for key in CODE_KEYS:
+            assert cache.store(key, _code_source(key))
+    assert cache.stats.errors == 0
+
+
+def _code_reader(root, start, results):
+    cache = CodeCache(root, cap=CODE_CAP)
+    start.wait()
+    outcomes = []
+    for _ in range(ROUNDS // 4):
+        for key in CODE_KEYS:
+            loaded = cache.load(key)
+            outcomes.append("miss" if loaded is None
+                            else "hit" if loaded == _code_source(key)
+                            else "wrong")
+    outcomes.append(f"corrupt={cache.stats.corrupt}")
+    results.put(outcomes)
+
+
+def test_code_cache_concurrent_writers_evict_under_a_reader(tmp_path):
+    """Two processes store and evict past a small cap while a third loads
+    and touches entries: every load is the exact source or a miss, nothing
+    is counted corrupt, and no temporary file is left behind."""
+    root = tmp_path / "code"
+    context = multiprocessing.get_context("spawn")
+    start = context.Barrier(3)
+    results = context.Queue()
+    workers = [context.Process(target=_code_writer, args=(root, start))
+               for _ in range(2)]
+    workers.append(context.Process(target=_code_reader,
+                                   args=(root, start, results)))
+    for worker in workers:
+        worker.start()
+    outcomes = results.get(timeout=120)
+    for worker in workers:
+        worker.join(timeout=120)
+        assert worker.exitcode == 0
+    assert outcomes[-1] == "corrupt=0"
+    assert set(outcomes[:-1]) <= {"hit", "miss"}
+    names = [path.name for path in root.iterdir()]
+    assert not [name for name in names if name.startswith(".tmp-")]
+    assert 0 < len(names) <= CODE_CAP

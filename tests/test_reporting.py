@@ -63,6 +63,15 @@ class TestFormatting:
         text = format_census(rows)
         assert "eembc" in text and "30" in text
 
+    def test_census_header_separates_every_column(self):
+        keys = ["loops", "computable_phis", "reduction_phis",
+                "noncomputable_phis", "loops_with_calls",
+                "loops_with_unsafe_calls"]
+        text = format_census({"eembc": dict.fromkeys(keys, 1)})
+        header, row = text.splitlines()[1:]
+        assert header.split() == ["suite", *keys]
+        assert len(row) == len(header)
+
 
 class TestExperimentHarness:
     def test_coverage_configs_match_paper_figure5(self):

@@ -9,6 +9,7 @@ to re-evaluation — never to wrong numbers.
 """
 
 import json
+import logging
 
 import pytest
 
@@ -25,6 +26,12 @@ from repro.runtime.telemetry import (
 )
 
 CONFIGS = ("doall:reduc1-dep0-fn0", "pdoall:reduc1-dep2-fn2")
+LOGGER = "repro.runtime.telemetry"
+
+
+def _warnings(caplog):
+    return [record.getMessage() for record in caplog.records
+            if record.name == LOGGER and record.levelno == logging.WARNING]
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +110,39 @@ def test_corrupt_ledger_lines_degrade_gracefully(tmp_path, grid_results):
     resumed = RunTelemetry.resume(telemetry.run_id, root=tmp_path)
     assert resumed.corrupt_lines == 1
     assert resumed.completed_results(task, list(CONFIGS)) is not None
+
+
+@pytest.mark.parametrize("line, what", [
+    ("{not json", "a line"),
+    ("[1, 2]", "a line"),
+    (json.dumps({"type": "task", "task": "bad", "wall_s": "x"}),
+     "task event 'bad'"),
+    (json.dumps({"type": "fuzz_case", "wall_s": "x"}), "fuzz_case event"),
+], ids=["json", "not-object", "task", "fuzz_case"])
+def test_each_corrupt_ledger_record_logs_a_warning(tmp_path, caplog, line,
+                                                   what):
+    telemetry = RunTelemetry.create(root=tmp_path)
+    with open(telemetry.ledger_path, "a") as handle:
+        handle.write(line + "\n")
+    with caplog.at_level(logging.WARNING, logger=LOGGER):
+        resumed = RunTelemetry.resume(telemetry.run_id, root=tmp_path)
+    assert resumed.corrupt_lines == 1
+    [message] = _warnings(caplog)
+    assert what in message and str(telemetry.ledger_path) in message
+
+
+def test_unrestorable_results_log_a_warning(tmp_path, caplog, grid_results):
+    telemetry = RunTelemetry.create(root=tmp_path)
+    task, results = next(iter(grid_results.items()))
+    telemetry.task_done(task, results)
+    resumed = RunTelemetry.resume(telemetry.run_id, root=tmp_path)
+    resumed._completed[task] = {name: {"speedup": 1.0} for name in CONFIGS}
+    with caplog.at_level(logging.WARNING, logger=LOGGER):
+        assert resumed.completed_results(task, list(CONFIGS)) is None
+    assert resumed.corrupt_lines == 1
+    [message] = _warnings(caplog)
+    assert f"results of task {task!r}" in message
+    assert "KeyError" in message
 
 
 def test_manifest_aggregates(tmp_path, grid_results):
